@@ -140,13 +140,23 @@ let () =
       | None -> Quorum.default_defs
     else Quorum.default_defs
   in
+  (* Pre-pass for R9/R10: summarize the replica runtime so the protocol
+     files' calls into it are followed. *)
+  let runtime_path = "lib/core/runtime.ml" in
+  let runtime =
+    if List.exists (String.equal runtime_path) files then
+      match Msgflow.parse ~path:runtime_path (read_file runtime_path) with
+      | Some structure -> [ Msgflow.summarize ~path:runtime_path structure ]
+      | None -> []
+    else []
+  in
   let findings =
     List.concat_map
       (fun path ->
         let source = read_file path in
         let ast = Lint.lint_source ~path source in
         let disc =
-          Discipline.lint_source ~path source
+          Discipline.lint_source ~runtime ~path source
           @ Quorum.lint_source ~defs ~path source
         in
         let mli_exists = Sys.file_exists (path ^ "i") in

@@ -1,7 +1,9 @@
 (* Emits the static message-flow graph for the two protocol sections
    (lib/core against Types.msg, lib/pbft against Pbft_types.msg) on
-   stdout.  Wired into the build as [dune build @msgflow], which diffs
-   the output against analysis/msgflow.expected. *)
+   stdout.  The replica runtime (lib/core/runtime.ml) is not a section
+   file: both sections' handlers resolve their calls into it.  Wired
+   into the build as [dune build @msgflow], which diffs the output
+   against analysis/msgflow.expected. *)
 
 module Msgflow = Sbft_analysis.Msgflow
 
@@ -16,7 +18,14 @@ let ml_files dir =
   |> List.filter (fun f -> Filename.check_suffix f ".ml")
   |> List.map (fun f -> dir ^ "/" ^ f)
 
-let section (name, types_file) =
+let runtime_path = "lib/core/runtime.ml"
+
+let summarize ?runtime path =
+  match Msgflow.parse ~path (read_file path) with
+  | Some structure -> Some (Msgflow.summarize ?runtime ~path structure)
+  | None -> None
+
+let section runtime (name, types_file) =
   let universe =
     match Msgflow.parse ~path:types_file (read_file types_file) with
     | Some structure -> Msgflow.msg_constructors structure
@@ -25,9 +34,7 @@ let section (name, types_file) =
   let files =
     List.filter_map
       (fun path ->
-        match Msgflow.parse ~path (read_file path) with
-        | Some structure -> Some (Msgflow.summarize ~path structure)
-        | None -> None)
+        if String.equal path runtime_path then None else summarize ~runtime path)
       (ml_files name)
   in
   { Msgflow.sec_name = name; sec_universe = universe; sec_files = files }
@@ -44,4 +51,5 @@ let () =
       ("lib/pbft", "lib/pbft/pbft_types.ml");
     ]
   in
-  print_string (Msgflow.render (List.map section sections))
+  let runtime = Option.to_list (summarize runtime_path) in
+  print_string (Msgflow.render (List.map (section runtime) sections))

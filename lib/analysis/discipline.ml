@@ -15,7 +15,10 @@
 
    All three are syntactic and deliberately strict on the shapes the
    protocol uses; vetted exceptions go through lint.allow like any
-   other rule. *)
+   other rule.  R9 and R10 follow calls into the runtime modules given
+   to [lint_source] (the replica runtime both protocols share): a
+   violation inside a runtime function is reported at its own line in
+   the runtime file, naming the protocol file whose handler reached it. *)
 
 (* Local copies of path helpers (Lint keeps its own private). *)
 let normalize path = String.map (fun c -> if Char.equal c '\\' then '/' else c) path
@@ -79,29 +82,41 @@ let r9 (fl : Msgflow.file) =
   if not (uses_wal fl) then []
   else begin
     let findings = ref [] in
-    let rec sim stack state (events : Msgflow.einfo list) =
+    (* [path] is the file defining the events: a send inside a runtime
+       function is reported there, naming the handler whose path
+       reached it. *)
+    let rec sim stack ~handler ~path state (events : Msgflow.einfo list) =
       List.fold_left
         (fun (logged, synced) (e : Msgflow.einfo) ->
           match e.Msgflow.ev with
           | Msgflow.Log r -> (r :: logged, synced)
           | Msgflow.Sync -> ([], logged @ synced)
-          | Msgflow.Send { ctor = Some c; _ } ->
-              (match List.assoc_opt c promise_table with
-              | Some required when not (List.exists (fun r -> mem r synced) required) ->
-                  findings :=
-                    finding ~rule:"R9" ~file:fl.Msgflow.path ~line:e.Msgflow.line
-                      (Printf.sprintf
-                         "promise-bearing send of %s without a synced %s WAL \
-                          record on this path (wal_log + wal_sync must come \
-                          first)"
-                         c
-                         (String.concat "/" required))
-                    :: !findings
-              | _ -> ());
+          | Msgflow.Send _ ->
+              (match Msgflow.send_ctor fl e with
+              | Some c -> (
+                  match List.assoc_opt c promise_table with
+                  | Some required when not (List.exists (fun r -> mem r synced) required) ->
+                      findings :=
+                        finding ~rule:"R9" ~file:path ~line:e.Msgflow.line
+                          (Printf.sprintf
+                             "promise-bearing send of %s without a synced %s WAL \
+                              record on this path (wal_log + wal_sync must come \
+                              first)%s"
+                             c
+                             (String.concat "/" required)
+                             (if String.equal path fl.Msgflow.path then ""
+                              else
+                                Printf.sprintf " (reached from %s in %s)" handler
+                                  fl.Msgflow.path))
+                        :: !findings
+                  | _ -> ())
+              | None -> ());
               (logged, synced)
           | Msgflow.Call n when not (mem n stack) -> (
-              match Msgflow.find_func fl.Msgflow.funcs n with
-              | Some f -> sim (n :: stack) (logged, synced) f.Msgflow.fn_events
+              match Msgflow.find_func (Msgflow.all_funcs fl) n with
+              | Some f ->
+                  sim (n :: stack) ~handler ~path:f.Msgflow.fn_path (logged, synced)
+                    f.Msgflow.fn_events
               | None -> (logged, synced))
           | _ -> (logged, synced))
         state events
@@ -109,7 +124,9 @@ let r9 (fl : Msgflow.file) =
     List.iter
       (fun (f : Msgflow.func) ->
         if Msgflow.is_handler f.Msgflow.fn_name then
-          ignore (sim [ f.Msgflow.fn_name ] ([], []) f.Msgflow.fn_events))
+          ignore
+            (sim [ f.Msgflow.fn_name ] ~handler:f.Msgflow.fn_name ~path:fl.Msgflow.path
+               ([], []) f.Msgflow.fn_events))
       fl.Msgflow.funcs;
     !findings
   end
@@ -188,7 +205,7 @@ let reachable_funcs (fl : Msgflow.file) =
     | n :: rest ->
         if mem n visited then go visited rest
         else (
-          match Msgflow.find_func fl.Msgflow.funcs n with
+          match Msgflow.find_func (Msgflow.all_funcs fl) n with
           | None -> go visited rest
           | Some f ->
               let calls =
@@ -200,7 +217,9 @@ let reachable_funcs (fl : Msgflow.file) =
               go (n :: visited) (calls @ rest))
   in
   let names = go [] entry_names in
-  List.filter (fun (f : Msgflow.func) -> mem f.Msgflow.fn_name names) fl.Msgflow.funcs
+  List.filter
+    (fun (f : Msgflow.func) -> mem f.Msgflow.fn_name names)
+    (Msgflow.all_funcs fl)
 
 let r10 (fl : Msgflow.file) =
   List.concat_map
@@ -225,11 +244,13 @@ let r10 (fl : Msgflow.file) =
               if covered then None
               else
                 Some
-                  (finding ~rule:"R10" ~file:fl.Msgflow.path ~line:e.Msgflow.line
+                  (finding ~rule:"R10" ~file:f.Msgflow.fn_path ~line:e.Msgflow.line
                      (Printf.sprintf
                         "crypto call %s reachable from a handler has no \
-                         covering Engine.charge of klass %s in %s"
-                        callee klass f.Msgflow.fn_name))
+                         covering Engine.charge of klass %s in %s%s"
+                        callee klass f.Msgflow.fn_name
+                        (if String.equal f.Msgflow.fn_path fl.Msgflow.path then ""
+                         else Printf.sprintf " (reached from a handler in %s)" fl.Msgflow.path)))
           | _ -> None)
         f.Msgflow.fn_events)
     (reachable_funcs fl)
@@ -317,14 +338,14 @@ let dedup_sorted findings =
   in
   uniq sorted
 
-let lint_structure ~path structure =
-  let fl = Msgflow.summarize ~path structure in
+let lint_structure ?runtime ~path structure =
+  let fl = Msgflow.summarize ?runtime ~path structure in
   dedup_sorted (r9 fl @ r10 fl @ r11 fl)
 
-let lint_source ~path source =
+let lint_source ?runtime ~path source =
   let path = normalize path in
   if not (in_scope path) then []
   else
     match Msgflow.parse ~path source with
     | None -> [] (* Lint reports parse failures *)
-    | Some structure -> lint_structure ~path structure
+    | Some structure -> lint_structure ?runtime ~path structure

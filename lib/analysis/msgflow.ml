@@ -9,7 +9,11 @@
    coverage, and rate-limiting.  The same summaries drive the
    [@msgflow] graph artifact: which `on_*` handler can emit which
    message constructor and log which WAL record, resolved through local
-   helper calls.
+   helper calls and through calls into the runtime modules (the replica
+   runtime shared by the protocols): a runtime function's events are
+   inlined at the call, and a message it builds with a builder the
+   caller passed in ([~reply_msg:(fun ... -> Reply ...)]) is resolved
+   against the caller's builders.
 
    The extraction is deliberately syntactic: events are recorded in
    source order, lambda bodies are inlined where they appear, and no
@@ -28,14 +32,19 @@ type tside =
 type event =
   | Log of string  (** [wal_log _ _ (Ctor ...)] — WAL record constructor *)
   | Sync  (** [wal_sync _ _] *)
-  | Send of { ctor : string option; bcast : bool }
+  | Send of { ctor : string option; bcast : bool; via : string option }
       (** [send]/[broadcast*] call; [ctor] is the outermost message
-          constructor among the arguments when syntactically visible *)
+          constructor among the arguments when syntactically visible;
+          otherwise [via] names the message builder applied to produce
+          the message ([rt.reply_msg ...] -> ["reply_msg"]), resolved
+          per calling file against its {!file.builders} *)
   | Charge of { labels : string list; consts : string list }
       (** [Engine.charge]: Tally labels and [Cost_model.*] constants *)
   | Crypto of { klass : string; callee : string }
       (** call into a priced crypto/storage primitive *)
-  | Call of string  (** call to another top-level function of the file *)
+  | Call of string
+      (** call to another top-level function of the file, or to a
+          runtime module's function (qualified: ["Runtime.execute"]) *)
   | Threshold_cmp of { op : string; thresh : tside; annot : int option }
       (** comparison of a count against a quorum threshold, normalized
           so the count reads [count op thresh]; [annot] is the value of
@@ -44,10 +53,11 @@ type event =
   | San_check of string
       (** [Sanitizer.check_quorum _ Kind ~count:_] — the quorum kind
           constructor name, or ["<unknown>"] *)
-  | Timer_arm of { callee : string; cb_guards : string list }
-      (** [set_timer]/[set_replica_timer] arm site; [cb_guards] are the
-          identifier and field names in guard conditions inside the
-          callback lambdas *)
+  | Timer_arm of { callee : string; qualified : bool; cb_guards : string list }
+      (** [set_timer]/[set_replica_timer] arm site; [qualified] when
+          called through a module path ([Runtime.set_replica_timer]);
+          [cb_guards] are the identifier and field names in guard
+          conditions inside the callback lambdas *)
 
 type einfo = {
   ev : event;
@@ -65,6 +75,7 @@ type einfo = {
 
 type func = {
   fn_name : string;
+  fn_path : string;  (** the file defining the function *)
   fn_line : int;
   fn_params : string list;
   fn_events : einfo list;
@@ -75,6 +86,11 @@ type file = {
   funcs : func list;
   handled : string list;
       (** constructor names matched by this file's [on_message] *)
+  builders : (string * string) list;
+      (** message builders this file hands to a runtime module: label or
+          record field -> the constructor its lambda returns *)
+  externals : func list;
+      (** functions of the runtime modules, qualified by module name *)
 }
 
 type section = {
@@ -130,6 +146,16 @@ let first_construct args =
     (fun acc (_, a) ->
       match acc with Some _ -> acc | None -> construct_name a)
     None args
+
+(* The message builder of a send whose message is not a visible
+   constructor: the last positional argument applies a field or named
+   function ([rt.reply_msg ~view ...] -> "reply_msg"). *)
+let builder_applied args =
+  let positional = function Asttypes.Nolabel, _ -> true | _ -> false in
+  match List.rev (List.filter positional args) with
+  | (_, { Parsetree.pexp_desc = Pexp_apply (h, _); _ }) :: _ ->
+      Option.map snd (head_name h)
+  | _ -> None
 
 let rec is_lambda (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -440,6 +466,8 @@ type wstate = {
   events : einfo list ref;  (* reversed; List.rev at the end *)
   fresh : int ref;
   locals : (string, unit) Hashtbl.t;
+  runtime : (string * string list) list;
+      (* runtime module name -> its function names *)
 }
 
 let child st c =
@@ -545,9 +573,10 @@ and apply st c line attrs head args =
         (San_check (Option.value (san_kind_of_args args) ~default:"<unknown>"))
         line;
       walk_args st c args
-  | Some (_, (("set_timer" | "set_replica_timer") as callee)) ->
+  | Some (m, (("set_timer" | "set_replica_timer") as callee)) ->
       emit st c
-        (Timer_arm { callee; cb_guards = lambda_guard_names args })
+        (Timer_arm
+           { callee; qualified = Option.is_some m; cb_guards = lambda_guard_names args })
         line;
       walk_args st c args
   | Some (_, "wal_log") ->
@@ -563,6 +592,7 @@ and apply st c line attrs head args =
            {
              ctor = first_construct args;
              bcast = has_pfx ~prefix:"broadcast" f;
+             via = builder_applied args;
            })
         line;
       walk_args st c args
@@ -587,6 +617,11 @@ and apply st c line attrs head args =
       List.iter (fun (_, a) -> walk st c a) rest
   | Some (None, f) when Hashtbl.mem st.locals f ->
       emit st c (Call f) line;
+      walk_args st c args
+  | Some (Some m, f)
+    when List.exists (String.equal f)
+           (Option.value (List.assoc_opt m st.runtime) ~default:[]) ->
+      emit st c (Call (m ^ "." ^ f)) line;
       walk_args st c args
   | _ ->
       walk st c head;
@@ -633,7 +668,69 @@ let handled_ctors structure =
     (structure_bindings structure);
   List.sort_uniq String.compare !acc
 
-let summarize ~path structure =
+(* Message builders handed to a runtime module: a labelled argument or
+   record field whose value is a lambda returning a constructor
+   ([~reply_msg:(fun ~view ... -> Types.Reply {...})]). *)
+let builders structure =
+  let acc = ref [] in
+  let rec returned_ctor (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_fun (_, _, _, body) -> returned_ctor body
+    | Pexp_constraint (e, _) -> returned_ctor e
+    | _ -> construct_name e
+  in
+  let note label (e : Parsetree.expression) =
+    if is_lambda e then
+      match returned_ctor e with Some c -> acc := (label, c) :: !acc | None -> ()
+  in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun it ex ->
+          (match ex.Parsetree.pexp_desc with
+          | Pexp_apply (_, args) ->
+              List.iter
+                (fun (l, a) ->
+                  match l with
+                  | Asttypes.Labelled lbl | Asttypes.Optional lbl -> note lbl a
+                  | Asttypes.Nolabel -> ())
+                args
+          | Pexp_record (fields, _) ->
+              List.iter (fun ({ Location.txt; _ }, a) -> note (last_component txt) a) fields
+          | _ -> ());
+          Ast_iterator.default_iterator.expr it ex);
+    }
+  in
+  List.iter (fun si -> it.structure_item it si) structure;
+  List.sort_uniq
+    (fun (l1, c1) (l2, c2) ->
+      match String.compare l1 l2 with 0 -> String.compare c1 c2 | n -> n)
+    !acc
+
+let module_name path =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* A runtime module's functions under their qualified names, with its
+   internal calls qualified the same way. *)
+let qualify (rt : file) =
+  let m = module_name rt.path in
+  List.map
+    (fun f ->
+      {
+        f with
+        fn_name = m ^ "." ^ f.fn_name;
+        fn_events =
+          List.map
+            (fun e ->
+              match e.ev with
+              | Call n -> { e with ev = Call (m ^ "." ^ n) }
+              | _ -> e)
+            f.fn_events;
+      })
+    rt.funcs
+
+let summarize ?(runtime = []) ~path structure =
   let bindings = structure_bindings structure in
   let locals = Hashtbl.create 64 in
   List.iter
@@ -642,6 +739,11 @@ let summarize ~path structure =
         (fun n -> Hashtbl.replace locals n ())
         (pat_var_names vb.pvb_pat))
     bindings;
+  let modules =
+    List.map
+      (fun (rt : file) -> (module_name rt.path, List.map (fun f -> f.fn_name) rt.funcs))
+      runtime
+  in
   let fresh = ref 0 in
   let funcs =
     List.filter_map
@@ -649,13 +751,14 @@ let summarize ~path structure =
         match pat_var_names vb.pvb_pat with
         | [ name ] ->
             let params, body = peel_params [] vb.pvb_expr in
-            let st = { events = ref []; fresh; locals } in
+            let st = { events = ref []; fresh; locals; runtime = modules } in
             walk st
               { region = []; in_guard = false; iter_vars = []; guard_names = [] }
               body;
             Some
               {
                 fn_name = name;
+                fn_path = path;
                 fn_line = vb.pvb_loc.Location.loc_start.Lexing.pos_lnum;
                 fn_params = params;
                 fn_events = List.rev !(st.events);
@@ -663,7 +766,13 @@ let summarize ~path structure =
         | _ -> None)
       bindings
   in
-  { path; funcs; handled = handled_ctors structure }
+  {
+    path;
+    funcs;
+    handled = handled_ctors structure;
+    builders = builders structure;
+    externals = List.concat_map qualify runtime;
+  }
 
 let msg_constructors structure =
   List.concat_map
@@ -687,15 +796,25 @@ let msg_constructors structure =
   |> List.sort_uniq String.compare
 
 (* ------------------------------------------------------------------ *)
-(* Call-graph closure (within one file) *)
+(* Call-graph closure (within one file and the runtime modules) *)
 
 let find_func funcs name =
   List.find_opt (fun f -> String.equal f.fn_name name) funcs
 
-(* Events of [start] and of every local function transitively reachable
+let all_funcs fl = fl.funcs @ fl.externals
+
+(* The constructor a send emits, seen from file [fl]: a visible
+   constructor, or the one [fl]'s builder of that name returns. *)
+let send_ctor fl e =
+  match e.ev with
+  | Send { ctor = Some c; _ } -> Some c
+  | Send { ctor = None; via = Some v; _ } -> List.assoc_opt v fl.builders
+  | _ -> None
+
+(* Events of [start] and of every function transitively reachable
    through [Call] events.  Calls to unknown names are ignored (they are
-   either stdlib or cross-module; cross-module helpers are summarized
-   where they live). *)
+   stdlib or cross-module calls outside the runtime modules; those
+   helpers are summarized where they live). *)
 let reachable_events funcs start =
   let rec go visited acc = function
     | [] -> List.concat (List.rev acc)
@@ -729,9 +848,10 @@ let render sections =
   Buffer.add_string buf
     "# SBFT message-flow graph: for each protocol section, which message\n\
      # constructors are handled and sent, and per handler (resolved through\n\
-     # local helper calls) which messages it can emit and which WAL records\n\
-     # it logs.  Regenerated by `dune build @msgflow`; after a vetted\n\
-     # protocol change, update the committed spec with `dune promote`.\n";
+     # local helper calls and calls into the replica runtime) which messages\n\
+     # it can emit and which WAL records it logs.  Regenerated by\n\
+     # `dune build @msgflow`; after a vetted protocol change, update the\n\
+     # committed spec with `dune promote`.\n";
   List.iter
     (fun sec ->
       Buffer.add_string buf
@@ -751,12 +871,7 @@ let render sections =
           (fun fl ->
             List.concat_map
               (fun f ->
-                List.filter_map
-                  (fun e ->
-                    match e.ev with
-                    | Send { ctor = Some ctor; _ } -> Some ctor
-                    | _ -> None)
-                  f.fn_events)
+                List.filter_map (send_ctor fl) (reachable_events (all_funcs fl) f.fn_name))
               fl.funcs)
           sec.sec_files
         |> List.sort_uniq String.compare
@@ -779,13 +894,13 @@ let render sections =
               Buffer.add_string buf (Printf.sprintf "\n-- %s --\n" fl.path);
               List.iter
                 (fun h ->
-                  let evs = reachable_events fl.funcs h.fn_name in
+                  let evs = reachable_events (all_funcs fl) h.fn_name in
                   let sends =
                     List.filter_map
                       (fun e ->
-                        match e.ev with
-                        | Send { ctor = Some ctor; _ } -> Some ctor
-                        | Send { ctor = None; _ } -> Some "<unresolved>"
+                        match (e.ev, send_ctor fl e) with
+                        | _, Some ctor -> Some ctor
+                        | Send _, None -> Some "<unresolved>"
                         | _ -> None)
                       evs
                     |> List.sort_uniq String.compare

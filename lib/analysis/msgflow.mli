@@ -22,16 +22,22 @@ type tside =
 type event =
   | Log of string  (** [wal_log _ _ (Ctor ...)]: the record constructor *)
   | Sync  (** [wal_sync _ _] *)
-  | Send of { ctor : string option; bcast : bool }
+  | Send of { ctor : string option; bcast : bool; via : string option }
       (** call to [send] or [broadcast*]; [ctor] is the outermost
-          message constructor among the arguments when visible *)
+          message constructor among the arguments when visible,
+          otherwise [via] names the message builder the last positional
+          argument applies ([rt.reply_msg ...] -> ["reply_msg"]); see
+          {!send_ctor} *)
   | Charge of { labels : string list; consts : string list }
       (** [Engine.charge]: Tally label strings and [Cost_model.*]
           constant names appearing in the arguments *)
   | Crypto of { klass : string; callee : string }
       (** call to a priced crypto/storage primitive; [klass] groups
           primitives priced together by the cost model *)
-  | Call of string  (** call to another top-level function of the file *)
+  | Call of string
+      (** call to another top-level function of the file, or to a
+          function of a runtime module passed to {!summarize}, qualified
+          by module name (["Runtime.execute"]) *)
   | Threshold_cmp of { op : string; thresh : tside; annot : int option }
       (** comparison of a count against a quorum threshold, normalized
           to read [count op thresh]; [annot] is a [[@quorum.adjust k]]
@@ -39,10 +45,10 @@ type event =
   | San_check of string
       (** [Sanitizer.check_quorum _ Kind ~count:_]: the kind
           constructor name, or ["<unknown>"] *)
-  | Timer_arm of { callee : string; cb_guards : string list }
-      (** a [set_timer] / [set_replica_timer] arm site; [cb_guards]
-          are identifier and field names in guard conditions inside
-          the callback lambdas *)
+  | Timer_arm of { callee : string; qualified : bool; cb_guards : string list }
+      (** a [set_timer] / [set_replica_timer] arm site; [qualified] when
+          called through a module path; [cb_guards] are identifier and
+          field names in guard conditions inside the callback lambdas *)
 
 type einfo = {
   ev : event;
@@ -57,6 +63,7 @@ type einfo = {
 
 type func = {
   fn_name : string;
+  fn_path : string;  (** the file that defines the function *)
   fn_line : int;
   fn_params : string list;
   fn_events : einfo list;  (** in source order *)
@@ -67,6 +74,11 @@ type file = {
   funcs : func list;
   handled : string list;
       (** constructor names matched by the file's [on_message] *)
+  builders : (string * string) list;
+      (** message builders the file hands to a runtime module: label or
+          record field -> constructor its lambda returns *)
+  externals : func list;
+      (** the runtime modules' functions, qualified by module name *)
 }
 
 type section = {
@@ -86,16 +98,28 @@ val linear_of_expr : Parsetree.expression -> Quorum_props.linear option
 
 val tside_of_expr : Parsetree.expression -> tside option
 
-val summarize : path:string -> Parsetree.structure -> file
+val summarize : ?runtime:file list -> path:string -> Parsetree.structure -> file
+(** [runtime]: summaries of the runtime modules (files named after the
+    module, e.g. [lib/core/runtime.ml] for [Runtime]).  Calls
+    [Runtime.f ...] to their functions become [Call "Runtime.f"] events
+    resolved against {!file.externals}. *)
 
 val msg_constructors : Parsetree.structure -> string list
 (** Constructors of every [type msg] variant in the structure, sorted. *)
 
 val find_func : func list -> string -> func option
 
+val all_funcs : file -> func list
+(** The file's own functions followed by its {!file.externals}. *)
+
+val send_ctor : file -> einfo -> string option
+(** The message constructor a [Send] event emits as seen from the file:
+    its visible constructor, or the constructor the file's builder named
+    by [via] returns. *)
+
 val reachable_events : func list -> string -> einfo list
-(** Events of the named function plus those of every local function
-    transitively reachable through [Call] events (cycles cut). *)
+(** Events of the named function plus those of every function of the
+    list transitively reachable through [Call] events (cycles cut). *)
 
 val is_handler : string -> bool
 (** Does the function name start with [on_]? *)

@@ -540,12 +540,13 @@ let r13 ~file structure (fl : Msgflow.file) =
       List.filter_map
         (fun (e : Msgflow.einfo) ->
           match e.Msgflow.ev with
-          | Msgflow.Timer_arm { callee; cb_guards } ->
+          | Msgflow.Timer_arm { callee; qualified; cb_guards } ->
               let ok =
                 if String.equal callee "set_replica_timer" then
-                  (* A call through the wrapper: the wrapper's own raw
-                     arm site is checked where it is defined. *)
-                  mem "set_replica_timer" local_funcs || guarded cb_guards
+                  (* A call through the wrapper (local, or the replica
+                     runtime's): the wrapper's own raw arm site is
+                     checked where it is defined. *)
+                  qualified || mem "set_replica_timer" local_funcs || guarded cb_guards
                 else guarded cb_guards
               in
               if ok then None

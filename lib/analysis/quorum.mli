@@ -10,8 +10,9 @@
     carry a checked [[@quorum.adjust k]] annotation, and every
     declared [Config.mutation] must provably violate an obligation.
     R13 requires every raw [set_timer] arm site to guard its callback
-    with an assigned cancel flag (or route through a guarded local
-    [set_replica_timer] wrapper).  R14 requires every
+    with an assigned cancel flag (or route through a guarded
+    [set_replica_timer] wrapper, local or a module's such as
+    [Runtime.set_replica_timer]).  R14 requires every
     threshold-crossing decision, in files that use the runtime
     sanitizer, to pair with a [Sanitizer.check_quorum] of the matching
     kind in the same function.  R15 rejects wildcard cases in the

@@ -1,126 +1,38 @@
 open Sbft_sim
 open Sbft_crypto
 
-type pending = {
-  timestamp : int;
-  op : string;
-  request : Types.request;
-  sent_at : Engine.time;
-  mutable replies : (int * string) list; (* replica -> value, f+1 path *)
-  mutable done_ : bool;
-}
-
 type query_pending = {
   q_key : string;
   mutable q_done : bool;
   q_callback : (string * int) option -> unit;
 }
 
+(* The shared client skeleton (closed loop, retries, f+1 replies) plus
+   SBFT's execute-ack path and read-only queries. *)
 type t = {
-  env : Replica.env;
-  id : int;
-  keypair : Pki.keypair;
-  on_complete : timestamp:int -> latency:Engine.time -> value:string -> unit;
-  mutable timestamp : int;
-  mutable current : pending option;
-  mutable believed_primary : int;
-  mutable completed : int;
-  mutable retries : int;
-  mutable queue : (int -> string) option; (* closed-loop generator *)
-  mutable remaining : int;
-  mutable issued : int;
+  c : Types.msg Runtime.client;
   mutable next_qid : int;
   queries : (int, query_pending) Hashtbl.t;
 }
 
 let create ~env ~id ~keypair ~on_complete =
   {
-    env;
-    id;
-    keypair;
-    on_complete;
-    timestamp = 0;
-    current = None;
-    believed_primary = 0;
-    completed = 0;
-    retries = 0;
-    queue = None;
-    remaining = 0;
-    issued = 0;
+    c =
+      Runtime.client_create ~env ~id ~keypair
+        ~request_msg:(fun r -> Types.Request r)
+        ~on_complete;
     next_qid = 0;
     queries = Hashtbl.create 8;
   }
 
-let id t = t.id
-let completed t = t.completed
-let retries t = t.retries
-let last_timestamp t = t.timestamp
+let id t = t.c.id
+let completed t = t.c.completed
+let retries t = t.c.retries
+let last_timestamp t = t.c.timestamp
+let submit t ctx ~op = Runtime.client_submit t.c ctx ~op
 
-let config t = t.env.Replica.keys.Keys.config
+let config t = t.c.env.keys.Keys.config
 let num_replicas t = Config.n (config t)
-
-let send t ctx ~dst msg = t.env.Replica.send ctx ~src:t.id ~dst msg
-
-let rec arm_retry t (p : pending) =
-  ignore
-    (Engine.set_timer t.env.Replica.engine ~node:t.id
-       ~after:(config t).Config.client_retry_timeout (fun ctx ->
-         if not p.done_ then begin
-           (* Resend to all replicas and ask for the f+1 path (§V-A). *)
-           t.retries <- t.retries + 1;
-           for r = 0 to num_replicas t - 1 do
-             send t ctx ~dst:r (Types.Request p.request)
-           done;
-           arm_retry t p
-         end))
-
-let submit t ctx ~op =
-  match t.current with
-  | Some p when not p.done_ -> invalid_arg "Client.submit: operation already in flight"
-  | _ ->
-      t.timestamp <- t.timestamp + 1;
-      let request =
-        { Types.client = t.id; timestamp = t.timestamp; op; signature = "" }
-      in
-      Engine.charge ctx Cost_model.rsa_sign;
-      let request =
-        { request with Types.signature = Pki.sign t.keypair (Types.request_digest request) }
-      in
-      let p =
-        {
-          timestamp = t.timestamp;
-          op;
-          request;
-          sent_at = Engine.ctx_now ctx;
-          replies = [];
-          done_ = false;
-        }
-      in
-      t.current <- Some p;
-      send t ctx ~dst:t.believed_primary (Types.Request request);
-      arm_retry t p
-
-let next_op t ctx =
-  match t.queue with
-  | Some make_op when t.remaining > 0 ->
-      t.remaining <- t.remaining - 1;
-      let op = make_op t.issued in
-      t.issued <- t.issued + 1;
-      submit t ctx ~op
-  | _ -> ()
-
-let complete t ctx (p : pending) value =
-  if not p.done_ then begin
-    p.done_ <- true;
-    t.completed <- t.completed + 1;
-    t.current <- None;
-    t.on_complete ~timestamp:p.timestamp
-      ~latency:(Engine.ctx_now ctx - p.sent_at)
-      ~value;
-    next_op t ctx
-  end
-
-let note_view t view = t.believed_primary <- view mod num_replicas t
 
 let query t ctx ~key ~callback =
   t.next_qid <- t.next_qid + 1;
@@ -139,9 +51,10 @@ let query t ctx ~key ~callback =
       end
       else begin
         let replica = (qid + tries) mod n in
-        send t ctx ~dst:replica (Types.Query { client = t.id; qid; query = key });
+        t.c.env.send ctx ~src:t.c.id ~dst:replica
+          (Types.Query { client = t.c.id; qid; query = key });
         ignore
-          (Engine.set_timer t.env.Replica.engine ~node:t.id
+          (Engine.set_timer t.c.env.engine ~node:t.c.id
              ~after:((config t).Config.client_retry_timeout / 4)
              (fun ctx -> if not pending.q_done then attempt_ctx ctx (tries + 1)))
       end
@@ -150,43 +63,31 @@ let query t ctx ~key ~callback =
   attempt 0
 
 let on_message t ctx ~src msg =
+  ignore src;
   match msg with
   | Types.Execute_ack { view; seq; index; timestamp; value; state_digest; pi; proof; _ } -> (
-      note_view t view;
-      match t.current with
-      | Some p when Int.equal p.timestamp timestamp && not p.done_ ->
+      Runtime.client_note_view t.c view;
+      match t.c.current with
+      | Some p when Int.equal p.Runtime.request.Types.timestamp timestamp && not p.done_ ->
           Engine.charge ctx Cost_model.bls_verify;
           Engine.charge ctx (Cost_model.merkle_verify 10);
           if
-            Sbft_crypto.Threshold.verify t.env.Replica.keys.Keys.pi
+            Sbft_crypto.Threshold.verify t.c.env.keys.Keys.pi
               ~msg:(Types.pi_message ~seq ~digest:state_digest)
               pi
             && Sbft_store.Auth_store.verify_op_proof ~digest:state_digest ~seq ~index
-                 ~op:p.op ~value ~proof
-          then complete t ctx p value
+                 ~op:p.request.Types.op ~value ~proof
+          then Runtime.client_complete t.c ctx p value
       | _ -> ())
-  | Types.Reply { view; replica; timestamp; value; _ } -> (
-      note_view t view;
-      match t.current with
-      | Some p when Int.equal p.timestamp timestamp && not p.done_ ->
-          Engine.charge ctx Cost_model.rsa_verify;
-          if not (List.mem_assoc replica p.replies) then begin
-            p.replies <- (replica, value) :: p.replies;
-            (* Track the responsive primary for future requests. *)
-            ignore src;
-            let matching =
-              List.length (List.filter (fun (_, v) -> String.equal v value) p.replies)
-            in
-            if matching >= (config t).Config.f + 1 then complete t ctx p value
-          end
-      | _ -> ())
+  | Types.Reply { view; replica; timestamp; value; _ } ->
+      Runtime.on_client_reply t.c ctx ~view ~replica ~timestamp ~value
   | Types.Query_resp { qid; seq; digest; pi; value; proof; _ } -> (
       match Hashtbl.find_opt t.queries qid with
       | Some q when not q.q_done ->
           Engine.charge ctx Cost_model.bls_verify;
           Engine.charge ctx (Cost_model.merkle_verify 16);
           if
-            Sbft_crypto.Threshold.verify t.env.Replica.keys.Keys.pi
+            Sbft_crypto.Threshold.verify t.c.env.keys.Keys.pi
               ~msg:(Types.pi_message ~seq ~digest)
               pi
             && Sbft_store.Auth_store.verify_query_proof ~digest ~seq ~key:q.q_key
@@ -199,7 +100,4 @@ let on_message t ctx ~src msg =
       | _ -> ())
   | _ -> ()
 
-let run_closed_loop t ~num_requests ~make_op ~start_at =
-  t.queue <- Some make_op;
-  t.remaining <- num_requests;
-  Engine.dispatch t.env.Replica.engine ~dst:t.id ~at:start_at (fun ctx -> next_op t ctx)
+let run_closed_loop t = Runtime.client_run_closed_loop t.c

@@ -9,18 +9,22 @@
     the Linear-PBFT fallback the primary is always appended as the last
     collector, guaranteeing progress whenever the primary is correct. *)
 
+type memo
+(** Cache of collector draws.  Drawing costs SHA-256 hashes, and every
+    replica asks for the same (view, seq) groups, so a cluster shares one
+    memo (the replica runtime env holds it). *)
+
+val new_memo : unit -> memo
+
 val primary : config:Config.t -> view:int -> int
 
-val c_collectors : config:Config.t -> view:int -> seq:int -> int list
+val c_collectors : memo:memo -> config:Config.t -> view:int -> seq:int -> int list
 (** [c + 1] distinct non-primary replicas (fewer only when n is tiny). *)
 
-val e_collectors : config:Config.t -> view:int -> seq:int -> int list
+val e_collectors : memo:memo -> config:Config.t -> view:int -> seq:int -> int list
 
-val slow_path_collectors : config:Config.t -> view:int -> seq:int -> int list
+val slow_path_collectors : memo:memo -> config:Config.t -> view:int -> seq:int -> int list
 (** C-collectors with the primary as the final fallback collector. *)
-
-val is_c_collector : config:Config.t -> view:int -> seq:int -> int -> bool
-val is_e_collector : config:Config.t -> view:int -> seq:int -> int -> bool
 
 val rank : int list -> int -> int option
 (** Activation rank of a replica within a collector list. *)

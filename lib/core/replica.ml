@@ -1,13 +1,7 @@
 open Sbft_sim
 open Sbft_crypto
 
-type env = {
-  engine : Engine.t;
-  trace : Trace.t;
-  keys : Keys.t;
-  send : Engine.ctx -> src:int -> dst:int -> Types.msg -> unit;
-  exec_cost : Types.request list -> Engine.time;
-}
+type env = Types.msg Runtime.env
 
 type byzantine =
   | Honest
@@ -136,30 +130,14 @@ let new_slot seq =
     slow_cert = None;
   }
 
+(* Replica state: the shared runtime (view, windows, slot table,
+   request and client tables, timers; see Runtime) plus SBFT's own
+   commit, execution-collection, durability and view-change state. *)
 type t = {
-  env : env;
+  rt : (Types.msg, slot) Runtime.t;
   my : Keys.replica_keys;
-  id : int;
-  san : Sanitizer.t;
-  store : Sbft_store.Auth_store.t;
   blocks : Sbft_store.Block_store.t;
-  mutable view : int;
-  mutable next_seq : int; (* primary: next sequence to assign *)
-  mutable ls : int; (* windowing bound (includes the fast-path rule) *)
   mutable stable : int; (* highest π-certified checkpoint *)
-  slots : (int, slot) Hashtbl.t;
-  pending : Types.request Queue.t;
-  pending_keys : (int * int, unit) Hashtbl.t;
-  client_table : (int, int * string * int * int) Hashtbl.t;
-      (* client -> (timestamp, value, seq, index) of last executed op *)
-  batching : Batching.t;
-  mutable batch_timer_armed : bool;
-  (* liveness *)
-  outstanding : (int * int, Types.request) Hashtbl.t; (* awaiting execution *)
-  mutable last_progress : Engine.time;
-  mutable vc_backoff : int;
-  mutable in_view_change : bool;
-  mutable sent_vc_for : int; (* highest view we issued a view-change for *)
   vc_msgs : (int, (int, Types.view_change) Hashtbl.t) Hashtbl.t;
   checkpoint_pis : (int, Field.t * string) Hashtbl.t;
   mutable last_new_view : (int * Types.view_change list) option;
@@ -177,9 +155,6 @@ type t = {
          State_resp floods *)
   mutable st : st_pending option;
   wal : Sbft_store.Wal.t;
-  mutable retired : bool;
-      (* set when a crash-amnesia rebuild replaces this object: pending
-         timer callbacks on the old incarnation must become no-ops *)
   mutable failures_observed : bool;
   mutable fast_eta : float;
       (* EWMA of observed pre-prepare -> full-commit-proof time (ns): the
@@ -190,46 +165,35 @@ type t = {
       (* gray-failure knob: degraded-disk multiplier applied to the WAL
          group-commit flush charge (1.0 = healthy) *)
   (* metrics *)
-  mutable n_committed : int;
   mutable n_executed_blocks : int;
   mutable n_fast : int;
   mutable n_slow : int;
-  mutable n_view_changes : int;
 }
 
-let cfg t = t.env.keys.Keys.config
+let cfg t = t.rt.env.keys.Keys.config
 let num_replicas t = Config.n (cfg t)
-let keys t = t.env.keys
+let keys t = t.rt.env.keys
 
 let create ~env ~my ~store ~(durable : durable) =
-  let config = env.keys.Keys.config in
-  let san =
-    Sanitizer.create ~enabled:config.Config.sanitize ~f:config.Config.f
-      ~c:config.Config.c ()
+  let config = env.Runtime.keys.Keys.config in
+  let rt =
+    Runtime.create ~env ~id:my.Keys.replica_id
+      ~policy:
+        {
+          Runtime.exec_window = Some (Config.active_window config);
+          flush_max = false;
+          signed_broadcast = false;
+        }
+      ~request_msg:(fun r -> Types.Request r)
+      ~reply_msg:(fun ~view ~replica ~client ~timestamp ~seq ~value ->
+        Types.Reply { view; replica; client; timestamp; seq; value; signature = "" })
+      ~store ~new_slot ~is_committed:(fun sl -> Option.is_some sl.committed)
   in
-  Sanitizer.check_config san ~n:(Config.n config);
   {
-    env;
+    rt;
     my;
-    id = my.Keys.replica_id;
-    san;
-    store;
     blocks = durable.blocks;
-    view = 0;
-    next_seq = 1;
-    ls = 0;
     stable = 0;
-    slots = Hashtbl.create 128;
-    pending = Queue.create ();
-    pending_keys = Hashtbl.create 64;
-    client_table = Hashtbl.create 64;
-    batching = Batching.create env.keys.Keys.config;
-    batch_timer_armed = false;
-    outstanding = Hashtbl.create 64;
-    last_progress = 0;
-    vc_backoff = 0;
-    in_view_change = false;
-    sent_vc_for = 0;
     vc_msgs = Hashtbl.create 4;
     checkpoint_pis = Hashtbl.create 8;
     last_new_view = None;
@@ -237,30 +201,27 @@ let create ~env ~my ~store ~(durable : durable) =
     st_served = Hashtbl.create 4;
     st = None;
     wal = durable.wal;
-    retired = false;
     failures_observed = false;
-    fast_eta = float_of_int (env.keys.Keys.config.Config.fast_path_timeout / 2);
+    fast_eta = float_of_int (config.Config.fast_path_timeout / 2);
     byz = Honest;
     fsync_scale = 1.0;
-    n_committed = 0;
     n_executed_blocks = 0;
     n_fast = 0;
     n_slow = 0;
-    n_view_changes = 0;
   }
 
-let id t = t.id
-let sanitizer t = t.san
-let view t = t.view
-let primary_of t v = Collectors.primary ~config:(cfg t) ~view:v
-let is_primary t = Int.equal (primary_of t t.view) t.id
-let last_executed t = Sbft_store.Auth_store.last_executed t.store
+let id t = t.rt.id
+let sanitizer t = t.rt.san
+let view t = t.rt.view
+let primary_of t v = Runtime.primary_of t.rt v
+let is_primary t = Runtime.is_primary t.rt
+let last_executed t = Runtime.last_executed t.rt
 let last_stable t = t.stable
-let state_digest t = Sbft_store.Auth_store.digest t.store
-let store t = t.store
-let blocks_committed t = t.n_committed
+let state_digest t = Sbft_store.Auth_store.digest t.rt.store
+let store t = t.rt.store
+let blocks_committed t = t.rt.n_committed
 let blocks_executed t = t.n_executed_blocks
-let view_changes_completed t = t.n_view_changes
+let view_changes_completed t = t.rt.n_view_changes
 let fast_commits t = t.n_fast
 let slow_commits t = t.n_slow
 let set_byzantine t b = t.byz <- b
@@ -279,22 +240,21 @@ let set_fsync_scale t s = t.fsync_scale <- Float.max 1.0 s
    The R6 taint lint treats obs_* results as attacker-tainted, so
    protocol handlers cannot grow a dependence on them. *)
 
-let obs_view t = t.view
-let obs_last_executed t = last_executed t
+let obs_view t = Runtime.obs_view t.rt
+let obs_last_executed t = Runtime.obs_last_executed t.rt
 let obs_last_stable t = t.stable
-let obs_next_seq t = t.next_seq
-let obs_in_view_change t = t.in_view_change
+let obs_next_seq t = Runtime.obs_next_seq t.rt
+let obs_in_view_change t = t.rt.in_view_change
 
 (* Share counts an adversary's colluding collector would see arriving
    for slot [seq]: (sigma, tau, commit) tallies, 0s for unknown slots. *)
 let obs_slot_shares t seq =
-  match Hashtbl.find_opt t.slots seq with
+  match Hashtbl.find_opt t.rt.slots seq with
   | None -> (0, 0, 0)
   | Some s -> (s.sigma_shares.count, s.tau_shares.count, s.commit_shares.count)
 
 (* Highest slot with any protocol activity — where the frontier is. *)
-let obs_frontier t =
-  Hashtbl.fold (fun seq _ acc -> max seq acc) t.slots 0
+let obs_frontier t = Runtime.obs_frontier t.rt
 
 let certified_checkpoints t =
   List.map
@@ -302,43 +262,26 @@ let certified_checkpoints t =
     (Det.sorted_bindings ~compare:Int.compare t.checkpoint_pis)
 
 let client_last_timestamp t ~client =
-  Option.map (fun (ts, _, _, _) -> ts) (Hashtbl.find_opt t.client_table client)
+  Option.map (fun (ts, _, _, _) -> ts) (Hashtbl.find_opt t.rt.client_table client)
+
+(* The requests of a persisted ledger entry (signatures are not kept). *)
+let entry_reqs (e : Sbft_store.Block_store.entry) =
+  List.map
+    (fun (o : Sbft_store.Block_store.op) ->
+      { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
+    e.ops
 
 let committed_block t seq =
-  match Hashtbl.find_opt t.slots seq with
+  match Hashtbl.find_opt t.rt.slots seq with
   | Some s -> s.committed
   | None -> (
       match Sbft_store.Block_store.find t.blocks seq with
       | Some e ->
           (* Reconstructed from the persisted ledger after GC. *)
-          Some
-            (List.map
-               (fun (o : Sbft_store.Block_store.op) ->
-                 { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-               e.Sbft_store.Block_store.ops)
+          Some (entry_reqs e)
       | None -> None)
 
-let slot t seq =
-  match Hashtbl.find_opt t.slots seq with
-  | Some s -> s
-  | None ->
-      let s = new_slot seq in
-      Hashtbl.replace t.slots seq s;
-      s
-
-let trace t ctx kind detail =
-  Trace.emit t.env.trace ~time:(Engine.ctx_now ctx) ~node:t.id ~kind ~detail
-
-(* Every replica timer goes through this wrapper so that retiring the
-   object (crash-amnesia rebuild) silences callbacks still in flight on
-   the old incarnation. *)
-let set_replica_timer t ~after f =
-  Engine.set_timer t.env.engine ~node:t.id ~after (fun ctx ->
-      if not t.retired then f ctx)
-
-let retire t = t.retired <- true
-
-let send t ctx ~dst msg = t.env.send ctx ~src:t.id ~dst msg
+let retire t = Runtime.retire t.rt
 
 (* Client table as sorted rows (checkpoint capture / state transfer). *)
 let client_table_rows t =
@@ -351,12 +294,7 @@ let client_table_rows t =
         ce_seq = seq;
         ce_index = index;
       })
-    (Det.sorted_bindings ~compare:Int.compare t.client_table)
-
-let broadcast_replicas t ctx msg =
-  for r = 0 to num_replicas t - 1 do
-    send t ctx ~dst:r msg
-  done
+    (Det.sorted_bindings ~compare:Int.compare t.rt.client_table)
 
 (* ------------------------------------------------------------------ *)
 (* Write-ahead logging (crash-amnesia durability).
@@ -381,17 +319,6 @@ let wal_sync t ctx =
 
 let wal_ops reqs =
   List.map (fun (r : Types.request) -> (r.Types.client, r.Types.timestamp, r.Types.op)) reqs
-
-(* ------------------------------------------------------------------ *)
-(* Progress tracking for the view-change trigger *)
-
-let note_progress t ctx = t.last_progress <- Engine.ctx_now ctx
-
-let mark_outstanding t (r : Types.request) =
-  if r.client >= 0 then Hashtbl.replace t.outstanding (r.client, r.timestamp) r
-
-let clear_outstanding t (r : Types.request) =
-  Hashtbl.remove t.outstanding (r.client, r.timestamp)
 
 (* ------------------------------------------------------------------ *)
 (* Collector-side share combination (§IV linearity).
@@ -488,97 +415,14 @@ let rec on_message t ctx ~src msg =
 (* Request intake and proposing (primary) *)
 
 and on_request t ctx (r : Types.request) =
-  (* Answer retransmissions of already-executed operations directly. *)
-  match Hashtbl.find_opt t.client_table r.client with
-  | Some (ts, value, seq, _) when ts >= r.timestamp ->
-      Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
-      send t ctx ~dst:r.client
-        (Types.Reply
-           {
-             view = t.view;
-             replica = t.id;
-             client = r.client;
-             timestamp = ts;
-             seq;
-             value;
-             signature = "";
-           })
-  | _ ->
-      if is_primary t then begin
-        if not (Hashtbl.mem t.pending_keys (r.client, r.timestamp)) then begin
-          (* Static authentication and access-control check (§V-C). *)
-          Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-          if Keys.verify_request (keys t) r then begin
-            Hashtbl.replace t.pending_keys (r.client, r.timestamp) ();
-            Queue.push r t.pending;
-            Batching.observe_pending t.batching (Queue.length t.pending);
-            mark_outstanding t r;
-            try_propose t ctx
-          end
-        end
-      end
-      else begin
-        (* Forward to the primary and watch for progress. *)
-        if not (Hashtbl.mem t.outstanding (r.client, r.timestamp)) then begin
-          mark_outstanding t r;
-          send t ctx ~dst:(primary_of t t.view) (Types.Request r)
-        end
-      end
+  Runtime.on_request t.rt ctx r ~propose:(propose_block t)
 
-and inflight t =
-  (* Blocks proposed but not yet known committed by us (primary view). *)
-  let le = last_executed t in
-  let count = ref 0 in
-  for s = le + 1 to t.next_seq - 1 do
-    match Hashtbl.find_opt t.slots s with
-    | Some sl when sl.committed = None -> incr count
-    | None -> incr count
-    | Some _ -> ()
-  done;
-  !count
+and try_propose t ctx = Runtime.try_propose t.rt ctx ~propose:(propose_block t)
 
-and try_propose t ctx =
-  if is_primary t && not t.in_view_change then begin
-    let config = cfg t in
-    let target = Batching.batch_size t.batching in
-    let can_propose () =
-      (not (Queue.is_empty t.pending))
-      && inflight t < Batching.max_concurrent config
-      && t.next_seq <= t.ls + config.Config.win
-      && t.next_seq <= last_executed t + Config.active_window config
-    in
-    let full_batch () = Queue.length t.pending >= target in
-    while can_propose () && full_batch () do
-      propose_block t ctx target
-    done;
-    (* A partial batch is flushed after the batching timeout. *)
-    if can_propose () && (not (Queue.is_empty t.pending)) && not t.batch_timer_armed
-    then begin
-      t.batch_timer_armed <- true;
-      ignore
-        (set_replica_timer t ~after:config.Config.batch_timeout
-           (fun ctx ->
-             t.batch_timer_armed <- false;
-             if is_primary t && not t.in_view_change then begin
-               let batch = min (Queue.length t.pending) (Batching.batch_size t.batching) in
-               if
-                 batch > 0
-                 && inflight t < Batching.max_concurrent config
-                 && t.next_seq <= t.ls + config.Config.win
-               then propose_block t ctx batch;
-               try_propose t ctx
-             end))
-    end
-  end
-
-and propose_block t ctx batch =
-  let batch = min batch (Queue.length t.pending) in
-  let reqs = List.init batch (fun _ -> Queue.pop t.pending) in
-  List.iter (fun (r : Types.request) -> Hashtbl.remove t.pending_keys (r.client, r.timestamp)) reqs;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
+and propose_block t ctx ~seq reqs =
   Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-  trace t ctx "send:pre-prepare" (Printf.sprintf "seq=%d view=%d batch=%d" seq t.view batch);
+  Runtime.trace t.rt ctx "send:pre-prepare"
+    (Printf.sprintf "seq=%d view=%d batch=%d" seq t.rt.view (List.length reqs));
   (match t.byz with
   | Equivocating_primary ->
       (* Send block A to the first half and block B to the second; pad
@@ -587,22 +431,22 @@ and propose_block t ctx batch =
       let n = num_replicas t in
       for r = 0 to n - 1 do
         let payload = if r < n / 2 then reqs else reqs_b in
-        send t ctx ~dst:r (Types.Pre_prepare { seq; view = t.view; reqs = payload })
+        Runtime.send t.rt ctx ~dst:r (Types.Pre_prepare { seq; view = t.rt.view; reqs = payload })
       done
-  | _ -> broadcast_replicas t ctx (Types.Pre_prepare { seq; view = t.view; reqs }))
+  | _ -> Runtime.broadcast t.rt ctx (Types.Pre_prepare { seq; view = t.rt.view; reqs }))
 
 (* ------------------------------------------------------------------ *)
 (* Fast path: pre-prepare -> sign-share -> full-commit-proof *)
 
 and on_pre_prepare t ctx ~seq ~view ~reqs =
   let config = cfg t in
-  let sl = slot t seq in
+  let sl = Runtime.slot t.rt seq in
   if
-    Int.equal view t.view
-    && (not t.in_view_change)
+    Int.equal view t.rt.view
+    && (not t.rt.in_view_change)
     && (match sl.pp with Some (v, _, _) -> not (Int.equal v view) | None -> true)
-    && seq > t.ls
-    && seq <= t.ls + config.Config.win
+    && seq > t.rt.ls
+    && seq <= t.rt.ls + config.Config.win
   then begin
     (* Authenticate the client operations (null/view-change fillers are
        locally constructed and carry no signature). *)
@@ -613,7 +457,7 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
       let h = Types.block_hash ~seq ~view ~reqs in
       sl.pp <- Some (view, reqs, h);
       sl.pp_at <- Engine.ctx_now ctx;
-      List.iter (mark_outstanding t) real_reqs;
+      List.iter (Runtime.mark_outstanding t.rt) real_reqs;
       if not sl.sent_sign_share then begin
         sl.sent_sign_share <- true;
         Engine.charge ctx (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
@@ -622,8 +466,8 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
         let sigma_share, tau_share =
           match t.byz with
           | Corrupt_shares ->
-              ( Threshold.forge_invalid_share ~signer:(t.id + 1),
-                Threshold.forge_invalid_share ~signer:(t.id + 1) )
+              ( Threshold.forge_invalid_share ~signer:(t.rt.id + 1),
+                Threshold.forge_invalid_share ~signer:(t.rt.id + 1) )
           | _ -> (sigma_share, tau_share)
         in
         sl.highest_preprepare <- Some (view, sigma_share, reqs);
@@ -634,20 +478,20 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
         wal_sync t ctx;
         List.iter
           (fun c ->
-            send t ctx ~dst:c
-              (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.id }))
-          (Collectors.slow_path_collectors ~config ~view ~seq)
+            Runtime.send t.rt ctx ~dst:c
+              (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.rt.id }))
+          (Collectors.slow_path_collectors ~memo:t.rt.env.collectors ~config ~view ~seq)
       end;
       (* A commit proof may have arrived before the block. *)
       try_pending_proofs t ctx sl
     end
   end
-  else if seq > t.ls + config.Config.win then maybe_state_transfer t ctx seq
+  else if seq > t.rt.ls + config.Config.win then maybe_state_transfer t ctx seq
 
 and on_sign_share t ctx ~seq ~view ~sigma_share ~tau_share ~replica =
   let config = cfg t in
-  if Int.equal view t.view && seq > t.ls && seq <= t.ls + config.Config.win then begin
-    let sl = slot t seq in
+  if Int.equal view t.rt.view && seq > t.rt.ls && seq <= t.rt.ls + config.Config.win then begin
+    let sl = Runtime.slot t.rt seq in
     if not (stash_mem sl.sigma_shares replica) then begin
       stash_add sl.sigma_shares replica sigma_share;
       stash_add sl.tau_shares replica tau_share;
@@ -658,10 +502,10 @@ and on_sign_share t ctx ~seq ~view ~sigma_share ~tau_share ~replica =
 and collector_check t ctx sl ~view =
   let config = cfg t in
   let seq = sl.seq in
-  let fast_collectors = Collectors.c_collectors ~config ~view ~seq in
-  let slow_collectors = Collectors.slow_path_collectors ~config ~view ~seq in
+  let fast_collectors = Collectors.c_collectors ~memo:t.rt.env.collectors ~config ~view ~seq in
+  let slow_collectors = Collectors.slow_path_collectors ~memo:t.rt.env.collectors ~config ~view ~seq in
   (* Fast path: combine σ when 3f+c+1 shares arrived. *)
-  (match Collectors.rank fast_collectors t.id with
+  (match Collectors.rank fast_collectors t.rt.id with
   | Some rank when config.Config.fast_path -> (
       if
         sl.sigma_shares.count >= Config.sigma_threshold config
@@ -677,9 +521,9 @@ and collector_check t ctx sl ~view =
                  resets the slot's share stashes in place, so a
                  staggered callback armed in the old view would
                  otherwise combine an empty (or refilling) stash. *)
-              if sl.committed = None && sl.pending_fast = None && Int.equal t.view view
+              if sl.committed = None && sl.pending_fast = None && Int.equal t.rt.view view
               then begin
-                Sanitizer.check_quorum t.san Sanitizer.Sigma
+                Sanitizer.check_quorum t.rt.san Sanitizer.Sigma
                   ~count:sl.sigma_shares.count;
                 let k = Config.sigma_threshold config in
                 let group = config.Config.use_group_sig && not t.failures_observed in
@@ -690,8 +534,8 @@ and collector_check t ctx sl ~view =
                 stash_set sl.sigma_shares (evict_bad bad sl.sigma_shares.items);
                 match sigma_opt with
                 | Some sigma ->
-                    trace t ctx "send:full-commit-proof" (Printf.sprintf "seq=%d" seq);
-                    broadcast_replicas t ctx
+                    Runtime.trace t.rt ctx "send:full-commit-proof" (Printf.sprintf "seq=%d" seq);
+                    Runtime.broadcast t.rt ctx
                       (Types.Full_commit_proof { seq; view; sigma })
                 | None ->
                     (* Invalid shares present: retry when more arrive. *)
@@ -701,13 +545,13 @@ and collector_check t ctx sl ~view =
             in
             let stagger = rank * config.Config.collector_stagger in
             if stagger = 0 then act ctx
-            else ignore (set_replica_timer t ~after:stagger act)
+            else ignore (Runtime.set_replica_timer t.rt ~after:stagger act)
         | Some _ -> ())
   | _ -> ());
   (* Slow path trigger: 2f+c+1 τ shares, after the fast-path timeout
      (immediately when the fast path is disabled).  The primary is the
      last-ranked fallback collector (§V-E). *)
-  match Collectors.rank slow_collectors t.id with
+  match Collectors.rank slow_collectors t.rt.id with
   | None -> ()
   | Some rank -> (
       if
@@ -735,10 +579,10 @@ and collector_check t ctx sl ~view =
                  The view guard matches the σ collector above: entering
                  a new view stash-resets this slot, so a fallback timer
                  armed in the old view must not fire into it. *)
-              if sl.committed = None && sl.pending_fast = None && Int.equal t.view view
+              if sl.committed = None && sl.pending_fast = None && Int.equal t.rt.view view
               then begin
                 if config.Config.fast_path then t.failures_observed <- true;
-                Sanitizer.check_quorum t.san Sanitizer.Tau
+                Sanitizer.check_quorum t.rt.san Sanitizer.Tau
                   ~count:sl.tau_shares.count;
                 let k = Config.tau_threshold config in
                 let tau_opt, bad =
@@ -749,18 +593,18 @@ and collector_check t ctx sl ~view =
                 stash_set sl.tau_shares (evict_bad bad sl.tau_shares.items);
                 match tau_opt with
                 | Some tau ->
-                    trace t ctx "send:prepare" (Printf.sprintf "seq=%d" seq);
-                    broadcast_replicas t ctx (Types.Prepare { seq; view; tau })
+                    Runtime.trace t.rt ctx "send:prepare" (Printf.sprintf "seq=%d" seq);
+                    Runtime.broadcast t.rt ctx (Types.Prepare { seq; view; tau })
                 | None -> sl.prepare_sent <- false
               end
             in
             if wait = 0 then act ctx
-            else sl.fast_timer <- Some (set_replica_timer t ~after:wait act)
+            else sl.fast_timer <- Some (Runtime.set_replica_timer t.rt ~after:wait act)
         | Some _ -> ()
       end)
 
 and on_full_commit_proof t ctx ~seq ~view ~sigma =
-  let sl = slot t seq in
+  let sl = Runtime.slot t.rt seq in
   if sl.committed = None then begin
     match sl.pp with
     | Some (v, reqs, h) when Int.equal v view ->
@@ -781,8 +625,8 @@ and on_full_commit_proof t ctx ~seq ~view ~sigma =
 
 and on_prepare t ctx ~seq ~view ~tau =
   let config = cfg t in
-  if Int.equal view t.view && seq > t.ls && seq <= t.ls + config.Config.win then begin
-    let sl = slot t seq in
+  if Int.equal view t.rt.view && seq > t.rt.ls && seq <= t.rt.ls + config.Config.win then begin
+    let sl = Runtime.slot t.rt seq in
     if not sl.sent_commit then begin
       match sl.pp with
       | Some (v, reqs, h) when Int.equal v view ->
@@ -798,13 +642,13 @@ and on_prepare t ctx ~seq ~view ~tau =
             Engine.charge ctx (Cost_model.Tally.note "share_sign" Cost_model.bls_share_sign);
             let share =
               match t.byz with
-              | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.id + 1)
+              | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.rt.id + 1)
               | _ ->
                   Threshold.share_sign t.my.Keys.tau_sk ~msg:(Types.tau2_message tau)
             in
-            let collectors = Collectors.slow_path_collectors ~config ~view ~seq in
+            let collectors = Collectors.slow_path_collectors ~memo:t.rt.env.collectors ~config ~view ~seq in
             List.iter
-              (fun c -> send t ctx ~dst:c (Types.Commit { seq; view; share }))
+              (fun c -> Runtime.send t.rt ctx ~dst:c (Types.Commit { seq; view; share }))
               collectors
           end
       | _ -> request_block t ctx seq
@@ -813,8 +657,8 @@ and on_prepare t ctx ~seq ~view ~tau =
 
 and on_commit t ctx ~seq ~view ~share =
   let config = cfg t in
-  if Int.equal view t.view && seq > t.ls && seq <= t.ls + config.Config.win then begin
-    let sl = slot t seq in
+  if Int.equal view t.rt.view && seq > t.rt.ls && seq <= t.rt.ls + config.Config.win then begin
+    let sl = Runtime.slot t.rt seq in
     if
       (not (stash_mem sl.commit_shares share.Threshold.signer))
       && not sl.slow_sent
@@ -824,7 +668,7 @@ and on_commit t ctx ~seq ~view ~share =
         match sl.prepare_tau with
         | Some tau when not sl.slow_sent ->
             sl.slow_sent <- true;
-            Sanitizer.check_quorum t.san Sanitizer.Tau
+            Sanitizer.check_quorum t.rt.san Sanitizer.Tau
               ~count:sl.commit_shares.count;
             let k = Config.tau_threshold config in
             let tau_tau_opt, bad =
@@ -835,8 +679,8 @@ and on_commit t ctx ~seq ~view ~share =
             stash_set sl.commit_shares (evict_bad bad sl.commit_shares.items);
             (match tau_tau_opt with
             | Some tau_tau ->
-                trace t ctx "send:full-commit-proof-slow" (Printf.sprintf "seq=%d" seq);
-                broadcast_replicas t ctx
+                Runtime.trace t.rt ctx "send:full-commit-proof-slow" (Printf.sprintf "seq=%d" seq);
+                Runtime.broadcast t.rt ctx
                   (Types.Full_commit_proof_slow { seq; view; tau; tau_tau })
             | None -> sl.slow_sent <- false)
         | _ -> ()
@@ -845,7 +689,7 @@ and on_commit t ctx ~seq ~view ~share =
   end
 
 and on_full_commit_proof_slow t ctx ~seq ~view ~tau ~tau_tau =
-  let sl = slot t seq in
+  let sl = Runtime.slot t.rt seq in
   if sl.committed = None then begin
     match sl.pp with
     | Some (v, reqs, h) when Int.equal v view ->
@@ -885,11 +729,11 @@ and try_pending_proofs t ctx sl =
 
 and commit t ctx sl ~reqs ~view ~fast ~cert =
   if sl.committed = None then begin
-    Sanitizer.record_commit t.san ~seq:sl.seq ~view
+    Sanitizer.record_commit t.rt.san ~seq:sl.seq ~view
       ~digest:(Types.block_hash ~seq:sl.seq ~view ~reqs);
     sl.committed <- Some reqs;
     (match sl.fast_timer with Some tm -> Engine.cancel_timer tm | None -> ());
-    t.n_committed <- t.n_committed + 1;
+    t.rt.n_committed <- t.rt.n_committed + 1;
     if fast then t.n_fast <- t.n_fast + 1 else t.n_slow <- t.n_slow + 1;
     (* Network profiling for the adaptive fallback timer. *)
     (if fast && sl.pp_at > 0 then begin
@@ -901,8 +745,8 @@ and commit t ctx sl ~reqs ~view ~fast ~cert =
          Float.min
            (float_of_int (cfg t).Config.fast_path_timeout)
            (t.fast_eta *. 1.25));
-    note_progress t ctx;
-    trace t ctx "commit"
+    Runtime.note_progress t.rt ctx;
+    Runtime.trace t.rt ctx "commit"
       (Printf.sprintf "seq=%d view=%d path=%s" sl.seq view (if fast then "fast" else "slow"));
     let entry =
       {
@@ -922,7 +766,7 @@ and commit t ctx sl ~reqs ~view ~fast ~cert =
     (* Fast-path checkpointing rule (§V-F). *)
     if fast then begin
       let candidate = sl.seq - Config.active_window (cfg t) in
-      if candidate > t.ls then t.ls <- candidate
+      if candidate > t.rt.ls then t.rt.ls <- candidate
     end;
     try_execute t ctx;
     if is_primary t then try_propose t ctx
@@ -933,56 +777,23 @@ and try_execute t ctx =
   let continue = ref true in
   while !continue do
     let next = last_executed t + 1 in
-    match Hashtbl.find_opt t.slots next with
+    match Hashtbl.find_opt t.rt.slots next with
     | Some ({ committed = Some reqs; executed = false; _ } as sl) -> begin
-        Sanitizer.record_execute t.san ~seq:next;
         sl.executed <- true;
-        Engine.charge ctx (Cost_model.Tally.note "exec" (t.env.exec_cost reqs));
-        (* Exactly-once execution: a request re-proposed across a view
-           change may appear in two committed blocks; the second
-           occurrence deterministically degrades to a no-op (every
-           replica shares the same client table state). *)
-        let is_duplicate (r : Types.request) =
-          r.client >= 0
-          &&
-          match Hashtbl.find_opt t.client_table r.client with
-          | Some (ts, _, _, _) -> ts >= r.timestamp
-          | None -> false
-        in
-        let ops =
-          List.map
-            (fun (r : Types.request) -> if is_duplicate r then "" else r.op)
-            reqs
-        in
-        let outputs = Sbft_store.Auth_store.execute_block t.store ~seq:next ~ops in
-        let digest = Sbft_store.Auth_store.digest t.store in
+        let results, added = Runtime.execute t.rt ctx ~seq:next reqs in
+        let digest = Sbft_store.Auth_store.digest t.rt.store in
         t.n_executed_blocks <- t.n_executed_blocks + 1;
-        note_progress t ctx;
-        (* Record replies for retransmission handling. *)
-        List.iteri
-          (fun index ((r : Types.request), value) ->
-            clear_outstanding t r;
-            if r.client >= 0 then begin
-              match Hashtbl.find_opt t.client_table r.client with
-              | Some (ts, _, _, _) when ts >= r.timestamp -> ()
-              | _ ->
-                  Hashtbl.replace t.client_table r.client (r.timestamp, value, next, index);
-                  wal_log t ctx
-                    (Sbft_store.Wal.Client_row
-                       {
-                         client = r.client;
-                         timestamp = r.timestamp;
-                         value;
-                         seq = next;
-                         index;
-                       })
-            end)
-          (List.combine reqs outputs);
+        List.iter
+          (fun ((r : Types.request), value, index) ->
+            wal_log t ctx
+              (Sbft_store.Wal.Client_row
+                 { client = r.client; timestamp = r.timestamp; value; seq = next; index }))
+          added;
         (* Periodic checkpoint snapshot for state transfer.  The client
            table rides along: resuming dedup is part of resuming state. *)
         if next mod Config.checkpoint_interval config = 0 then
           Sbft_store.Block_store.set_checkpoint t.blocks ~seq:next
-            ~snapshot:(Sbft_store.Auth_store.delayed_snapshot t.store)
+            ~snapshot:(Sbft_store.Auth_store.delayed_snapshot t.rt.store)
             ~table:(client_table_rows t);
         (* Group commit: one fsync covers the block's rows and any
            commit certificates buffered earlier in this handler, before
@@ -1003,49 +814,21 @@ and try_execute t ctx =
           in
           let share =
             match t.byz with
-            | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.id + 1)
+            | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.rt.id + 1)
             | _ ->
                 Threshold.share_sign t.my.Keys.pi_sk
                   ~msg:(Types.pi_message ~seq:next ~digest)
           in
           List.iter
             (fun e ->
-              send t ctx ~dst:e (Types.Sign_state { seq = next; digest; share }))
-            (Collectors.e_collectors ~config ~view:0 ~seq:next
-            @ [ primary_of t t.view ])
+              Runtime.send t.rt ctx ~dst:e (Types.Sign_state { seq = next; digest; share }))
+            (Collectors.e_collectors ~memo:t.rt.env.collectors ~config ~view:0 ~seq:next
+            @ [ primary_of t t.rt.view ])
         end;
-        (* Direct f+1 replies when execution acks are off. *)
-        if not config.Config.execution_acks then
-          List.iteri
-            (fun _index ((r : Types.request), value) ->
-              if r.client >= 0 then begin
-                (* A re-proposed duplicate degrades to a no-op above, so
-                   [value] would be [""] here; answer from the client
-                   table (the original execution's result) instead, so
-                   every replica replies with the same bytes and the
-                   client's f+1 match cannot mix "" with real values. *)
-                let value =
-                  match Hashtbl.find_opt t.client_table r.client with
-                  | Some (ts, v, _, _) when Int.equal ts r.timestamp -> v
-                  | _ -> value
-                in
-                (* Direct replies are signed server messages ([31]);
-                   this per-request signing cost is exactly what
-                   ingredient 3 removes. *)
-                Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
-                send t ctx ~dst:r.client
-                  (Types.Reply
-                     {
-                       view = t.view;
-                       replica = t.id;
-                       client = r.client;
-                       timestamp = r.timestamp;
-                       seq = next;
-                       value;
-                       signature = "";
-                     })
-              end)
-            (List.combine reqs outputs);
+        (* Direct f+1 replies when execution acks are off.  Direct
+           replies are signed server messages ([31]); this per-request
+           signing cost is exactly what ingredient 3 removes. *)
+        if not config.Config.execution_acks then Runtime.reply t.rt ctx ~seq:next results;
         (* The E-collector may have combined π before executing. *)
         maybe_send_acks t ctx sl
       end
@@ -1058,7 +841,7 @@ and try_execute t ctx =
 
 and on_sign_state t ctx ~seq ~digest ~share =
   let config = cfg t in
-  let sl = slot t seq in
+  let sl = Runtime.slot t.rt seq in
   if not sl.exec_proof_sent then begin
     let bucket =
       match Hashtbl.find_opt sl.pi_shares digest with
@@ -1072,12 +855,12 @@ and on_sign_state t ctx ~seq ~digest ~share =
       stash_add bucket share.Threshold.signer share;
       if bucket.count >= Config.pi_threshold config then begin
         let e_list =
-          Collectors.e_collectors ~config ~view:0 ~seq @ [ primary_of t t.view ]
+          Collectors.e_collectors ~memo:t.rt.env.collectors ~config ~view:0 ~seq @ [ primary_of t t.rt.view ]
         in
-        let rank = Option.value (Collectors.rank e_list t.id) ~default:0 in
+        let rank = Option.value (Collectors.rank e_list t.rt.id) ~default:0 in
         let act ctx =
           if (not sl.exec_proof_sent) && not (Hashtbl.mem t.checkpoint_pis seq) then begin
-            Sanitizer.check_quorum t.san Sanitizer.Pi ~count:bucket.count;
+            Sanitizer.check_quorum t.rt.san Sanitizer.Pi ~count:bucket.count;
             let k = Config.pi_threshold config in
             let pi_opt, bad =
               combine_shares t ctx ~scheme:(keys t).Keys.pi ~k ~group:false
@@ -1093,15 +876,15 @@ and on_sign_state t ctx ~seq ~digest ~share =
                   (Sbft_store.Wal.Stable_checkpoint
                      { seq; digest; pi = Threshold.signature_bytes pi });
                 wal_sync t ctx;
-                trace t ctx "send:full-execute-proof" (Printf.sprintf "seq=%d" seq);
-                broadcast_replicas t ctx (Types.Full_execute_proof { seq; digest; pi });
+                Runtime.trace t.rt ctx "send:full-execute-proof" (Printf.sprintf "seq=%d" seq);
+                Runtime.broadcast t.rt ctx (Types.Full_execute_proof { seq; digest; pi });
                 maybe_send_acks t ctx sl
             | None -> ()
           end
         in
         let stagger = rank * config.Config.collector_stagger in
         if stagger = 0 then act ctx
-        else ignore (set_replica_timer t ~after:stagger act)
+        else ignore (Runtime.set_replica_timer t.rt ~after:stagger act)
       end
     end
   end
@@ -1122,15 +905,15 @@ and maybe_send_acks t ctx sl =
           (fun index (r : Types.request) ->
             if r.client >= 0 then begin
               match
-                ( Sbft_store.Auth_store.prove_op t.store ~seq:sl.seq ~index,
-                  Sbft_store.Auth_store.output_at t.store ~seq:sl.seq ~index )
+                ( Sbft_store.Auth_store.prove_op t.rt.store ~seq:sl.seq ~index,
+                  Sbft_store.Auth_store.output_at t.rt.store ~seq:sl.seq ~index )
               with
               | Some proof, Some value ->
                   Engine.charge ctx (Cost_model.Tally.note "merkle" (Cost_model.merkle_prove (List.length reqs)));
-                  send t ctx ~dst:r.client
+                  Runtime.send t.rt ctx ~dst:r.client
                     (Types.Execute_ack
                        {
-                         view = t.view;
+                         view = t.rt.view;
                          seq = sl.seq;
                          index;
                          client = r.client;
@@ -1156,10 +939,10 @@ and on_full_execute_proof t ctx ~seq ~digest ~pi ~src =
     if seq > t.stable then begin
       t.stable <- seq;
       let candidate = seq - Config.active_window (cfg t) in
-      if candidate > t.ls then t.ls <- candidate;
+      if candidate > t.rt.ls then t.rt.ls <- candidate;
       garbage_collect t
     end;
-    note_progress t ctx;
+    Runtime.note_progress t.rt ctx;
     (* Fell too far behind the certified execution frontier?  [src]
        certified the state, so probe it first; retries rotate. *)
     if seq > last_executed t + (cfg t).Config.win then
@@ -1171,17 +954,17 @@ and garbage_collect t =
   if horizon > 0 then begin
     let stale =
       List.filter (fun s -> s < horizon)
-        (Det.sorted_keys ~compare:Int.compare t.slots)
+        (Det.sorted_keys ~compare:Int.compare t.rt.slots)
     in
-    List.iter (Hashtbl.remove t.slots) stale;
+    List.iter (Hashtbl.remove t.rt.slots) stale;
     let stale_pis =
       List.filter (fun s -> s < horizon)
         (Det.sorted_keys ~compare:Int.compare t.checkpoint_pis)
     in
     List.iter (Hashtbl.remove t.checkpoint_pis) stale_pis;
-    Sanitizer.prune_below t.san ~seq:horizon;
+    Sanitizer.prune_below t.rt.san ~seq:horizon;
     Sbft_store.Block_store.prune_below t.blocks horizon;
-    Sbft_store.Auth_store.gc_below t.store ~seq:horizon;
+    Sbft_store.Auth_store.gc_below t.rt.store ~seq:horizon;
     if (cfg t).Config.durable_wal then
       Sbft_store.Wal.truncate_below t.wal ~seq:horizon
   end
@@ -1192,12 +975,12 @@ and garbage_collect t =
 and on_query t ctx ~client ~qid ~query =
   let seq = last_executed t in
   match Hashtbl.find_opt t.checkpoint_pis seq with
-  | Some (pi, digest) when String.equal digest (Sbft_store.Auth_store.digest t.store)
+  | Some (pi, digest) when String.equal digest (Sbft_store.Auth_store.digest t.rt.store)
     -> (
-      match Sbft_store.Auth_store.prove_query t.store ~key:query with
+      match Sbft_store.Auth_store.prove_query t.rt.store ~key:query with
       | Some (value, proof) ->
           Engine.charge ctx (Cost_model.Tally.note "merkle" (Cost_model.merkle_prove 16));
-          send t ctx ~dst:client
+          Runtime.send t.rt ctx ~dst:client
             (Types.Query_resp { client; qid; seq; digest; pi; value; proof })
       | None -> ())
   | _ -> () (* no certified state to answer from; the client retries *)
@@ -1206,16 +989,16 @@ and on_query t ctx ~client ~qid ~query =
 (* Block fetch and state transfer *)
 
 and request_block t ctx seq =
-  send t ctx ~dst:(primary_of t t.view) (Types.Get_block { seq; replica = t.id })
+  Runtime.send t.rt ctx ~dst:(primary_of t t.rt.view) (Types.Get_block { seq; replica = t.rt.id })
 
 and on_get_block t ctx ~seq ~replica =
-  match Hashtbl.find_opt t.slots seq with
+  match Hashtbl.find_opt t.rt.slots seq with
   | Some { pp = Some (view, reqs, _); _ } ->
-      send t ctx ~dst:replica (Types.Block_resp { seq; view; reqs })
+      Runtime.send t.rt ctx ~dst:replica (Types.Block_resp { seq; view; reqs })
   | _ -> ()
 
 and on_block_resp t ctx ~seq ~view ~reqs =
-  let sl = slot t seq in
+  let sl = Runtime.slot t.rt seq in
   if sl.pp = None then begin
     Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
     let h = Types.block_hash ~seq ~view ~reqs in
@@ -1230,8 +1013,8 @@ and on_block_resp t ctx ~seq ~view ~reqs =
    response rotates to the next peer immediately. *)
 and send_get_state t ctx st =
   let n = num_replicas t in
-  let peer = (t.id + 1 + ((st.st_base + st.st_attempt) mod (n - 1))) mod n in
-  send t ctx ~dst:peer (Types.Get_state { upto = st.st_target; replica = t.id });
+  let peer = (t.rt.id + 1 + ((st.st_base + st.st_attempt) mod (n - 1))) mod n in
+  Runtime.send t.rt ctx ~dst:peer (Types.Get_state { upto = st.st_target; replica = t.rt.id });
   let config = cfg t in
   let backoff =
     config.Config.state_transfer_retry * (1 lsl min 6 st.st_attempt)
@@ -1239,7 +1022,7 @@ and send_get_state t ctx st =
   (match st.st_timer with Some tm -> Engine.cancel_timer tm | None -> ());
   st.st_timer <-
     Some
-      (set_replica_timer t ~after:backoff (fun ctx ->
+      (Runtime.set_replica_timer t.rt ~after:backoff (fun ctx ->
            match t.st with
            | Some st' when st' == st ->
                if st.st_target > last_executed t then begin
@@ -1266,8 +1049,8 @@ and start_state_transfer t ctx ~target ~first_peer =
           st_target = target;
           st_base =
             (match first_peer with
-            | Some p -> (p - t.id - 1 + n) mod n mod (n - 1)
-            | None -> Rng.int (Engine.rng t.env.engine) (n - 1));
+            | Some p -> (p - t.rt.id - 1 + n) mod n mod (n - 1)
+            | None -> Rng.int (Engine.rng t.rt.env.engine) (n - 1));
           st_attempt = 0;
           st_timer = None;
         }
@@ -1315,12 +1098,7 @@ and on_get_state t ctx ~upto ~replica =
         if not !stop then
           match Sbft_store.Block_store.find t.blocks s with
           | Some e ->
-              let reqs =
-                List.map
-                  (fun (o : Sbft_store.Block_store.op) ->
-                    { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-                  e.Sbft_store.Block_store.ops
-              in
+              let reqs = entry_reqs e in
               let cert =
                 match e.Sbft_store.Block_store.cert with
                 | Sbft_store.Block_store.Fast sigma ->
@@ -1343,7 +1121,7 @@ and on_get_state t ctx ~upto ~replica =
     in
     match certified_checkpoint with
     | Some (snap_seq, cp_snapshot, cp_table, pi, digest) ->
-        send t ctx ~dst:replica
+        Runtime.send t.rt ctx ~dst:replica
           (Types.State_resp
              {
                snapshot = Lazy.force cp_snapshot;
@@ -1361,7 +1139,7 @@ and on_get_state t ctx ~upto ~replica =
            ordinary commit path semantics (executed strictly in order). *)
         let blocks = suffix_blocks ~from_seq:0 in
         if blocks <> [] then
-          send t ctx ~dst:replica
+          Runtime.send t.rt ctx ~dst:replica
             (Types.State_resp
                {
                  snapshot = "";
@@ -1384,7 +1162,7 @@ and adopt_block_suffix t ctx blocks =
   List.iter
     (fun (s, view, reqs, cert) ->
       if !ok && Int.equal s (last_executed t + 1) then begin
-        let sl = slot t s in
+        let sl = Runtime.slot t.rt s in
         if sl.committed = None then begin
           let h = Types.block_hash ~seq:s ~view ~reqs in
           match cert with
@@ -1455,22 +1233,22 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
          scratch storage and installed only when it matches the
          π-certified digest, so a corrupt payload can never clobber the
          live store (it previously loaded first and checked after). *)
-      match Sbft_store.Auth_store.load_snapshot_checked t.store snapshot ~expect:digest with
+      match Sbft_store.Auth_store.load_snapshot_checked t.rt.store snapshot ~expect:digest with
       | Error _ -> state_transfer_failed t ctx
       | Ok () ->
-          trace t ctx "state-transfer" (Printf.sprintf "to=%d" snap_seq);
-          Sanitizer.record_state_transfer t.san ~seq:snap_seq;
+          Runtime.trace t.rt ctx "state-transfer" (Printf.sprintf "to=%d" snap_seq);
+          Sanitizer.record_state_transfer t.rt.san ~seq:snap_seq;
           if snap_seq > t.stable then t.stable <- snap_seq;
-          if snap_seq > t.ls then t.ls <- snap_seq;
+          if snap_seq > t.rt.ls then t.rt.ls <- snap_seq;
           Hashtbl.replace t.checkpoint_pis snap_seq (pi, digest);
           (* Adopt the sender's client table as of the snapshot: the
              snapshot's state already reflects those executions, and
              without the rows this replica would re-execute retried
              requests (at-most-once violation) once it resumes. *)
-          Hashtbl.reset t.client_table;
+          Hashtbl.reset t.rt.client_table;
           List.iter
             (fun (ce : Sbft_store.Block_store.client_entry) ->
-              Hashtbl.replace t.client_table ce.ce_client
+              Hashtbl.replace t.rt.client_table ce.ce_client
                 (ce.ce_timestamp, ce.ce_value, ce.ce_seq, ce.ce_index))
             table;
           (* Persist the transferred state: the snapshot becomes this
@@ -1519,7 +1297,7 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
 and build_view_change t =
   let config = cfg t in
   if t.byz = Stale_view_change then
-    { Types.vc_replica = t.id; vc_view = t.view; vc_ls = 0; vc_checkpoint = None; vc_slots = [] }
+    { Types.vc_replica = t.rt.id; vc_view = t.rt.view; vc_ls = 0; vc_checkpoint = None; vc_slots = [] }
   else begin
     let checkpoint =
       if t.stable = 0 then None
@@ -1529,7 +1307,7 @@ and build_view_change t =
     let base = if checkpoint = None then 0 else t.stable in
     let slots = ref [] in
     for s = base + 1 to base + config.Config.win do
-      match Hashtbl.find_opt t.slots s with
+      match Hashtbl.find_opt t.rt.slots s with
       | None -> ()
       | Some sl ->
           let slow =
@@ -1553,8 +1331,8 @@ and build_view_change t =
             slots := { Types.slot_seq = s; slow; fast } :: !slots
     done;
     {
-      Types.vc_replica = t.id;
-      vc_view = t.view;
+      Types.vc_replica = t.rt.id;
+      vc_view = t.rt.view;
       vc_ls = base;
       vc_checkpoint = checkpoint;
       vc_slots = List.rev !slots;
@@ -1562,11 +1340,11 @@ and build_view_change t =
   end
 
 and start_view_change t ctx ~target_view =
-  if target_view > t.sent_vc_for then begin
-    t.sent_vc_for <- target_view;
-    t.in_view_change <- true;
+  if target_view > t.rt.sent_vc_for then begin
+    t.rt.sent_vc_for <- target_view;
+    t.rt.in_view_change <- true;
     t.failures_observed <- true;
-    trace t ctx "view-change" (Printf.sprintf "to=%d" target_view);
+    Runtime.trace t.rt ctx "view-change" (Printf.sprintf "to=%d" target_view);
     let vc = { (build_view_change t) with Types.vc_view = target_view - 1 } in
     Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
     (* The vote is a promise not to help the old view: persist it
@@ -1574,19 +1352,19 @@ and start_view_change t ctx ~target_view =
     wal_log t ctx (Sbft_store.Wal.View_change_started target_view);
     wal_sync t ctx;
     (* Broadcast so that other replicas can join after f+1 complaints. *)
-    broadcast_replicas t ctx (Types.View_change vc)
+    Runtime.broadcast t.rt ctx (Types.View_change vc)
   end
 
 and on_view_change t ctx (vc : Types.view_change) =
   let config = cfg t in
   let target = vc.Types.vc_view + 1 in
-  if target <= t.view then begin
+  if target <= t.rt.view then begin
     (* Stale complaint — typically a replica that rejoined after losing
        the view change (crash-amnesia or a long partition).  Retransmit
        the self-certifying new-view evidence for our current view so it
        can catch up instead of complaining forever. *)
     match t.last_new_view with
-    | Some (v, proofs) when v >= target && not (Int.equal vc.Types.vc_replica t.id) ->
+    | Some (v, proofs) when v >= target && not (Int.equal vc.Types.vc_replica t.rt.id) ->
         (* The proof set is 2f+1 view-change messages — without pacing,
            each stale complaint would trigger a large response, a cheap
            amplification vector.  Resend at most once per view per
@@ -1601,7 +1379,7 @@ and on_view_change t ctx (vc : Types.view_change) =
         in
         if allow then begin
           Hashtbl.replace t.nv_resent vc.Types.vc_replica (v, now);
-          send t ctx ~dst:vc.Types.vc_replica (Types.New_view { view = v; proofs })
+          Runtime.send t.rt ctx ~dst:vc.Types.vc_replica (Types.New_view { view = v; proofs })
         end
     | _ -> ()
   end
@@ -1620,15 +1398,15 @@ and on_view_change t ctx (vc : Types.view_change) =
       (* Join a view change supported by pi = f+1 distinct replicas:
          at least one is honest, so the complaint is genuine. *)
       let support = Hashtbl.length tbl in
-      if support >= Config.pi_threshold config && t.sent_vc_for < target then begin
-        Sanitizer.check_quorum t.san Sanitizer.Pi ~count:support;
+      if support >= Config.pi_threshold config && t.rt.sent_vc_for < target then begin
+        Sanitizer.check_quorum t.rt.san Sanitizer.Pi ~count:support;
         start_view_change t ctx ~target_view:target
       end;
       (* The new primary forms the new view at 2f+2c+1 messages. *)
       if
-        Int.equal (primary_of t target) t.id
+        Int.equal (primary_of t target) t.rt.id
         && support >= Config.quorum_vc config
-        && t.view < target
+        && t.rt.view < target
       then begin
         (* Sorted by sender id: which quorum of valid messages the new
            primary keeps must not depend on Hashtbl iteration order. *)
@@ -1638,12 +1416,12 @@ and on_view_change t ctx (vc : Types.view_change) =
         let valid = List.filter (View_change.validate_message ~keys:(keys t)) msgs in
         if List.length valid >= Config.quorum_vc config then begin
           let quorum = List.filteri (fun i _ -> i < Config.quorum_vc config) valid in
-          Sanitizer.check_quorum t.san Sanitizer.Vc ~count:(List.length quorum);
-          trace t ctx "send:new-view" (Printf.sprintf "view=%d" target);
-          broadcast_replicas t ctx (Types.New_view { view = target; proofs = quorum });
+          Sanitizer.check_quorum t.rt.san Sanitizer.Vc ~count:(List.length quorum);
+          Runtime.trace t.rt ctx "send:new-view" (Printf.sprintf "view=%d" target);
+          Runtime.broadcast t.rt ctx (Types.New_view { view = target; proofs = quorum });
           (* Apply our own new-view synchronously.  Entering [target]
              here (rather than waiting for the self-addressed copy to
-             drain through the network) latches [t.view], so every
+             drain through the network) latches [t.rt.view], so every
              later view-change arrival for this view takes the cheap
              stale-complaint path above instead of re-validating and
              re-broadcasting the whole proof set — at n = 193 that
@@ -1658,13 +1436,13 @@ and on_view_change t ctx (vc : Types.view_change) =
 
 and on_new_view t ctx ~view ~proofs =
   let config = cfg t in
-  if view > t.view then begin
+  if view > t.rt.view then begin
     (* Every replica validates the proofs and recomputes the safe values
        for itself; the new-view message is self-certifying. *)
     Engine.charge ctx (Cost_model.Tally.note "proof_verify" (List.length proofs * (2 * Cost_model.bls_verify)));
     let valid = List.filter (View_change.validate_message ~keys:(keys t)) proofs in
     if List.length valid >= Config.quorum_vc config then begin
-      Sanitizer.check_quorum t.san Sanitizer.Vc ~count:(List.length valid);
+      Sanitizer.check_quorum t.rt.san Sanitizer.Vc ~count:(List.length valid);
       let ls, decisions = View_change.compute ~keys:(keys t) ~new_view:view valid in
       (* Keep the evidence for retransmission to stale complainers. *)
       t.last_new_view <- Some (view, valid);
@@ -1672,8 +1450,8 @@ and on_new_view t ctx ~view ~proofs =
       if ls > last_executed t then maybe_state_transfer t ctx (ls + config.Config.win + 1);
       List.iter
         (fun (seq, decision) ->
-          if seq > t.ls then begin
-            let sl = slot t seq in
+          if seq > t.rt.ls then begin
+            let sl = Runtime.slot t.rt seq in
             match decision with
             | View_change.Decide_fast { sigma; reqs; view = pview } ->
                 let h = Types.block_hash ~seq ~view:pview ~reqs in
@@ -1701,18 +1479,18 @@ and on_new_view t ctx ~view ~proofs =
           end)
         decisions;
       (* The new primary resumes proposing above the reconciled window. *)
-      if Int.equal (primary_of t view) t.id then begin
+      if Int.equal (primary_of t view) t.rt.id then begin
         let top =
           List.fold_left (fun acc (s, _) -> max acc s) ls decisions
         in
-        t.next_seq <- max t.next_seq (top + 1);
+        t.rt.next_seq <- max t.rt.next_seq (top + 1);
         try_propose t ctx
       end
     end
   end
 
 and adopt_pre_prepare t ctx ~seq ~view ~reqs =
-  let sl = slot t seq in
+  let sl = Runtime.slot t.rt seq in
   let h = Types.block_hash ~seq ~view ~reqs in
   sl.pp <- Some (view, reqs, h);
   sl.sent_sign_share <- true;
@@ -1726,20 +1504,15 @@ and adopt_pre_prepare t ctx ~seq ~view ~reqs =
   let config = cfg t in
   List.iter
     (fun c ->
-      send t ctx ~dst:c
-        (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.id }))
-    (Collectors.slow_path_collectors ~config ~view ~seq)
+      Runtime.send t.rt ctx ~dst:c
+        (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.rt.id }))
+    (Collectors.slow_path_collectors ~memo:t.rt.env.collectors ~config ~view ~seq)
 
 and enter_view t ctx ~view =
-  if view > t.view then begin
-    Sanitizer.record_view_entry t.san ~view;
-    t.view <- view;
-    t.in_view_change <- false;
-    t.n_view_changes <- t.n_view_changes + 1;
-    t.vc_backoff <- 0;
+  if view > t.rt.view then begin
     wal_log t ctx (Sbft_store.Wal.View_entered view);
     wal_sync t ctx;
-    note_progress t ctx;
+    Runtime.enter_view t.rt ctx ~view;
     Hashtbl.remove t.vc_msgs view;
     (* Fresh view: per-view collection state of open slots resets. *)
     Det.iter_sorted ~compare:Int.compare
@@ -1755,57 +1528,13 @@ and enter_view t ctx ~view =
           sl.sent_commit <- false;
           sl.prepare_tau <- None
         end)
-      t.slots;
-    trace t ctx "new-view" (Printf.sprintf "view=%d primary=%d" view (primary_of t view));
-    (* Re-drive requests that were in flight when the old view died,
-       in (client, timestamp) order: both the primary's pending queue
-       and the resend sequence are replay-visible. *)
-    let stale =
-      List.map snd
-        (Det.sorted_bindings
-           ~compare:(Det.compare_pair Int.compare Int.compare)
-           t.outstanding)
-    in
-    if is_primary t then
-      List.iter
-        (fun (r : Types.request) ->
-          if not (Hashtbl.mem t.pending_keys (r.Types.client, r.Types.timestamp)) then begin
-            Hashtbl.replace t.pending_keys (r.Types.client, r.Types.timestamp) ();
-            Queue.push r t.pending
-          end)
-        stale
-    else
-      List.iter
-        (fun r -> send t ctx ~dst:(primary_of t t.view) (Types.Request r))
-        stale;
+      t.rt.slots;
+    Runtime.trace t.rt ctx "new-view" (Printf.sprintf "view=%d primary=%d" view (primary_of t view));
+    Runtime.redrive t.rt ctx;
     if is_primary t then try_propose t ctx
   end
 
-(* ------------------------------------------------------------------ *)
-(* Liveness ticker *)
-
-and liveness_tick t ctx =
-  let config = cfg t in
-  let waiting = Hashtbl.length t.outstanding > 0 || not (Queue.is_empty t.pending) in
-  if waiting && not (Engine.is_crashed t.env.engine t.id) then begin
-    let timeout = config.Config.view_change_timeout * (1 lsl min 6 t.vc_backoff) in
-    if Engine.ctx_now ctx - t.last_progress > timeout then begin
-      t.vc_backoff <- t.vc_backoff + 1;
-      start_view_change t ctx ~target_view:(max (t.view + 1) (t.sent_vc_for + 1))
-    end
-  end
-
-let rec arm_liveness t =
-  ignore
-    (set_replica_timer t
-       ~after:((cfg t).Config.view_change_timeout / 2)
-       (fun ctx ->
-         liveness_tick t ctx;
-         arm_liveness t))
-
-let start t ctx =
-  note_progress t ctx;
-  arm_liveness t
+let start t ctx = Runtime.start t.rt ctx ~start_view_change:(start_view_change t)
 
 (* ------------------------------------------------------------------ *)
 (* Crash-amnesia recovery.
@@ -1830,7 +1559,7 @@ let start t ctx =
 
 let recover t ctx =
   let config = cfg t in
-  trace t ctx "recover" "replaying durable state";
+  Runtime.trace t.rt ctx "recover" "replaying durable state";
   (* A restart is an observed failure: no group-signature optimism. *)
   t.failures_observed <- true;
   (* 1. Durable checkpoint. *)
@@ -1840,13 +1569,13 @@ let recover t ctx =
       let snapshot = Lazy.force cp_snapshot in
       Engine.charge ctx
         (Cost_model.Tally.note "hash" (Cost_model.sha256 (String.length snapshot)));
-      match Sbft_store.Auth_store.load_snapshot t.store snapshot with
+      match Sbft_store.Auth_store.load_snapshot t.rt.store snapshot with
       | Ok () ->
-          Sanitizer.record_state_transfer t.san ~seq:cp_seq;
-          if cp_seq > t.ls then t.ls <- cp_seq;
+          Sanitizer.record_state_transfer t.rt.san ~seq:cp_seq;
+          if cp_seq > t.rt.ls then t.rt.ls <- cp_seq;
           List.iter
             (fun (ce : Sbft_store.Block_store.client_entry) ->
-              Hashtbl.replace t.client_table ce.ce_client
+              Hashtbl.replace t.rt.client_table ce.ce_client
                 (ce.ce_timestamp, ce.ce_value, ce.ce_seq, ce.ce_index))
             cp_table
       | Error _ -> () (* corrupt local checkpoint: state transfer heals *))
@@ -1862,16 +1591,16 @@ let recover t ctx =
       | Sbft_store.Wal.View_entered v ->
           if v > !restored_view then restored_view := v
       | Sbft_store.Wal.View_change_started v ->
-          if v > t.sent_vc_for then t.sent_vc_for <- v
+          if v > t.rt.sent_vc_for then t.rt.sent_vc_for <- v
       | Sbft_store.Wal.Stable_checkpoint { seq; digest; pi } ->
           Hashtbl.replace t.checkpoint_pis seq (Field.of_bytes pi, digest);
           if seq > t.stable then t.stable <- seq;
-          if seq > t.ls then t.ls <- seq
+          if seq > t.rt.ls then t.rt.ls <- seq
       | _ -> ())
     records;
   if !restored_view > 0 then begin
-    Sanitizer.record_view_entry t.san ~view:!restored_view;
-    t.view <- !restored_view
+    Sanitizer.record_view_entry t.rt.san ~view:!restored_view;
+    t.rt.view <- !restored_view
   end;
   (* 3. Ledger replay: quiet re-commit + re-execution of the contiguous
      run above the checkpoint (no network sends, no new WAL records). *)
@@ -1880,43 +1609,15 @@ let recover t ctx =
     let next = last_executed t + 1 in
     match Sbft_store.Block_store.find t.blocks next with
     | Some e ->
-        let reqs =
-          List.map
-            (fun (o : Sbft_store.Block_store.op) ->
-              { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-            e.Sbft_store.Block_store.ops
-        in
+        let reqs = entry_reqs e in
         let view = e.Sbft_store.Block_store.view in
         let h = Types.block_hash ~seq:next ~view ~reqs in
-        Sanitizer.record_commit t.san ~seq:next ~view ~digest:h;
-        Sanitizer.record_execute t.san ~seq:next;
-        let sl = slot t next in
+        Sanitizer.record_commit t.rt.san ~seq:next ~view ~digest:h;
+        let sl = Runtime.slot t.rt next in
         sl.pp <- Some (view, reqs, h);
         sl.committed <- Some reqs;
         sl.executed <- true;
-        Engine.charge ctx (Cost_model.Tally.note "exec" (t.env.exec_cost reqs));
-        let is_duplicate (r : Types.request) =
-          r.client >= 0
-          &&
-          match Hashtbl.find_opt t.client_table r.client with
-          | Some (ts, _, _, _) -> ts >= r.timestamp
-          | None -> false
-        in
-        let ops =
-          List.map
-            (fun (r : Types.request) -> if is_duplicate r then "" else r.op)
-            reqs
-        in
-        let outputs = Sbft_store.Auth_store.execute_block t.store ~seq:next ~ops in
-        List.iteri
-          (fun index ((r : Types.request), value) ->
-            if r.client >= 0 then
-              match Hashtbl.find_opt t.client_table r.client with
-              | Some (ts, _, _, _) when ts >= r.timestamp -> ()
-              | _ ->
-                  Hashtbl.replace t.client_table r.client
-                    (r.timestamp, value, next, index))
-          (List.combine reqs outputs)
+        ignore (Runtime.execute t.rt ctx ~seq:next reqs)
     | None -> replaying := false
   done;
   (* Blocks beyond a gap (committed while we were down, fetched before
@@ -1927,17 +1628,12 @@ let recover t ctx =
       if s > last_executed t then
         match Sbft_store.Block_store.find t.blocks s with
         | Some e ->
-            let reqs =
-              List.map
-                (fun (o : Sbft_store.Block_store.op) ->
-                  { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-                e.Sbft_store.Block_store.ops
-            in
+            let reqs = entry_reqs e in
             let view = e.Sbft_store.Block_store.view in
             let h = Types.block_hash ~seq:s ~view ~reqs in
-            let sl = slot t s in
+            let sl = Runtime.slot t.rt s in
             if sl.committed = None then begin
-              Sanitizer.record_commit t.san ~seq:s ~view ~digest:h;
+              Sanitizer.record_commit t.rt.san ~seq:s ~view ~digest:h;
               sl.pp <- Some (view, reqs, h);
               sl.committed <- Some reqs
             end
@@ -1949,13 +1645,13 @@ let recover t ctx =
     (fun (r : Sbft_store.Wal.record) ->
       match r with
       | Sbft_store.Wal.Client_row { client; timestamp; value; seq; index } -> (
-          match Hashtbl.find_opt t.client_table client with
+          match Hashtbl.find_opt t.rt.client_table client with
           | Some (ts, _, _, _) when ts >= timestamp -> ()
-          | _ -> Hashtbl.replace t.client_table client (timestamp, value, seq, index))
+          | _ -> Hashtbl.replace t.rt.client_table client (timestamp, value, seq, index))
       | Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops } ->
           if seq > !promised_seq then promised_seq := seq;
-          if Int.equal view t.view && seq > last_executed t then begin
-            let sl = slot t seq in
+          if Int.equal view t.rt.view && seq > last_executed t then begin
+            let sl = Runtime.slot t.rt seq in
             if sl.pp = None && sl.committed = None then begin
               let reqs =
                 List.map
@@ -1976,14 +1672,14 @@ let recover t ctx =
               sl.highest_preprepare <- Some (view, sigma_share, reqs);
               List.iter
                 (fun c ->
-                  send t ctx ~dst:c
-                    (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.id }))
-                (Collectors.slow_path_collectors ~config ~view ~seq)
+                  Runtime.send t.rt ctx ~dst:c
+                    (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.rt.id }))
+                (Collectors.slow_path_collectors ~memo:t.rt.env.collectors ~config ~view ~seq)
             end
           end
       | Sbft_store.Wal.Accepted_prepare { seq; view; tau } ->
-          if Int.equal view t.view && seq > last_executed t then begin
-            let sl = slot t seq in
+          if Int.equal view t.rt.view && seq > last_executed t then begin
+            let sl = Runtime.slot t.rt seq in
             (* We promised a commit share: restore the prepare report
                for view changes and never sign a conflicting block, but
                do not re-sign (the exact share already went out, or was
@@ -1999,10 +1695,10 @@ let recover t ctx =
       | _ -> ())
     records;
   (* 5. Conservative rejoin. *)
-  t.next_seq <-
-    max t.next_seq (max (Sbft_store.Block_store.highest t.blocks) !promised_seq + 1);
-  note_progress t ctx;
-  arm_liveness t;
+  t.rt.next_seq <-
+    max t.rt.next_seq (max (Sbft_store.Block_store.highest t.blocks) !promised_seq + 1);
+  Runtime.note_progress t.rt ctx;
+  Runtime.arm_liveness t.rt ~start_view_change:(start_view_change t);
   if config.Config.conservative_rejoin then begin
     (* Probe for whatever we missed while down (newer checkpoints, view
        changes); peers answer blocks-only when they have no checkpoint,
@@ -2026,8 +1722,8 @@ let recover t ctx =
        view change and returns to an idle cluster would wait in its old
        view forever (state transfer moves data, not views). *)
     Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
-    let probe = { (build_view_change t) with Types.vc_view = t.view - 1 } in
-    broadcast_replicas t ctx (Types.View_change probe)
+    let probe = { (build_view_change t) with Types.vc_view = t.rt.view - 1 } in
+    Runtime.broadcast t.rt ctx (Types.View_change probe)
   end;
-  trace t ctx "recovered"
-    (Printf.sprintf "view=%d le=%d stable=%d" t.view (last_executed t) t.stable)
+  Runtime.trace t.rt ctx "recovered"
+    (Printf.sprintf "view=%d le=%d stable=%d" t.rt.view (last_executed t) t.stable)

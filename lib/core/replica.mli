@@ -9,19 +9,13 @@
 
     Replicas are driven entirely by {!on_message} and timers they set
     themselves; wiring to the simulated network is provided by the
-    {!Env} record (see {!Cluster} for standard construction). *)
+    {!env} record (see {!Cluster} for standard construction).  The
+    protocol-independent skeleton (request intake, client table, timers,
+    proposer loop, liveness) lives in {!Runtime}. *)
 
-type env = {
-  engine : Sbft_sim.Engine.t;
-  trace : Sbft_sim.Trace.t;
-  keys : Keys.t;
-  send : Sbft_sim.Engine.ctx -> src:int -> dst:int -> Types.msg -> unit;
-      (** Transport: delivers [msg] to node [dst] (replica or client)
-          with size/latency accounting. *)
-  exec_cost : Types.request list -> Sbft_sim.Engine.time;
-      (** Virtual CPU cost of executing a block of this service's
-          operations (KV ≈ µs/op, EVM ≈ ms/tx). *)
-}
+type env = Types.msg Runtime.env
+(** The cluster-wide environment (transport, keys, execution cost); see
+    {!Runtime.env}. *)
 
 type durable = { wal : Sbft_store.Wal.t; blocks : Sbft_store.Block_store.t }
 (** The replica state that survives a crash-amnesia restart: the

@@ -197,9 +197,16 @@ let ablation_stagger scale =
    protocol family plus a failure run and the Ethereum workload; each is
    run twice from its seed and the trace streams must be identical. *)
 let replay_scenarios () =
-  let quick ?(failures = 0) protocol workload =
-    Scenario.default ~failures ~warmup:(Engine.ms 200) ~duration:(Engine.ms 400)
+  let quick ?(failures = 0) ?(duration = Engine.ms 400) ?crash_primary_at protocol
+      workload =
+    Scenario.default ~failures ~warmup:(Engine.ms 200) ~duration ?crash_primary_at
       ~protocol ~f:1 ~workload ~num_clients:2 ()
+  in
+  (* Primary crash at 0.3 s, run long enough for the view change and the
+     clients' retries: exercises liveness, view entry and re-driving. *)
+  let failover protocol =
+    quick ~duration:(Engine.sec 7) ~crash_primary_at:(Engine.ms 300) protocol
+      (Scenario.Kv { batching = true })
   in
   [
     ("sbft-kv-batch", quick (Scenario.SBFT 0) (Scenario.Kv { batching = true }));
@@ -207,19 +214,23 @@ let replay_scenarios () =
     ("linear-pbft-fast", quick Scenario.Linear_PBFT_fast (Scenario.Kv { batching = true }));
     ("pbft-kv", quick Scenario.PBFT (Scenario.Kv { batching = true }));
     ("sbft-eth", quick (Scenario.SBFT 0) Scenario.Eth);
+    ("sbft-failover", failover (Scenario.SBFT 0));
+    ("pbft-failover", failover Scenario.PBFT);
   ]
+
+let replay_outcomes () =
+  List.map
+    (fun (name, sc) -> (name, Replay.run_twice ~run:(fun () -> Scenario.run_traced sc)))
+    (replay_scenarios ())
 
 let replay () =
   Printf.printf "%!\n=== Replay-divergence check (R8): two same-seed runs per scenario ===\n";
   let ok =
     List.fold_left
-      (fun ok (name, sc) ->
-        let outcome =
-          Replay.run_twice ~run:(fun () -> Scenario.run_traced sc)
-        in
+      (fun ok (name, outcome) ->
         Printf.printf "  %-18s %s\n%!" name (Replay.pp_outcome outcome);
         match outcome with Replay.Identical _ -> ok | Replay.Diverged _ -> false)
-      true (replay_scenarios ())
+      true (replay_outcomes ())
   in
   Printf.printf "replay: %s\n%!" (if ok then "all scenarios deterministic" else "DIVERGENCE DETECTED");
   ok

@@ -37,6 +37,12 @@ val ablation_fast_mode : scale -> unit
 val ablation_stagger : scale -> unit
 (** Collector staggering on/off: redundant collector duplication cost. *)
 
+val replay_outcomes : unit -> (string * Sbft_sim.Replay.outcome) list
+(** R8 raw results: each example scenario run twice from its seed,
+    paired with its name, in a fixed order.  [bin/sbft_replay.exe]
+    renders the identical ones as the golden event-count/digest lines
+    diffed against [analysis/replay.expected]. *)
+
 val replay : unit -> bool
 (** R8: run each example scenario twice from the same seed and compare
     the trace streams event-by-event ({!Sbft_sim.Replay}).  Prints one

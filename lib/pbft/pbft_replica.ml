@@ -3,15 +3,9 @@ open Sbft_crypto
 module Types = Sbft_core.Types
 module Config = Sbft_core.Config
 module Keys = Sbft_core.Keys
-module Batching = Sbft_core.Batching
+module Runtime = Sbft_core.Runtime
 
-type env = {
-  engine : Engine.t;
-  trace : Trace.t;
-  keys : Keys.t;
-  send : Engine.ctx -> src:int -> dst:int -> Pbft_types.msg -> unit;
-  exec_cost : Pbft_types.request list -> Engine.time;
-}
+type env = Pbft_types.msg Runtime.env
 
 type slot = {
   seq : int;
@@ -38,122 +32,55 @@ let new_slot seq =
     executed = false;
   }
 
+(* Replica state: the shared runtime (view, windows, slot table,
+   request and client tables, timers; see Sbft_core.Runtime) plus the
+   checkpoint votes and view-change messages of the PBFT core. *)
 type t = {
-  env : env;
-  id : int;
-  san : Sanitizer.t;
-  store : Sbft_store.Auth_store.t;
-  mutable view : int;
-  mutable next_seq : int;
-  mutable ls : int;
-  slots : (int, slot) Hashtbl.t;
-  pending : Types.request Queue.t;
-  pending_keys : (int * int, unit) Hashtbl.t;
-  client_table : (int, int * string * int) Hashtbl.t;
+  rt : (Pbft_types.msg, slot) Runtime.t;
   checkpoints : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* seq -> voters *)
-  batching : Batching.t;
-  mutable batch_timer_armed : bool;
-  outstanding : (int * int, Types.request) Hashtbl.t;
-  mutable last_progress : Engine.time;
-  mutable vc_backoff : int;
-  mutable sent_vc_for : int;
   vc_msgs : (int, (int, (int * int * Types.request list) list) Hashtbl.t) Hashtbl.t;
-  mutable n_committed : int;
-  mutable n_view_changes : int;
-  mutable retired : bool;
 }
 
-let cfg t = t.env.keys.Keys.config
-let n_replicas t = Config.n (cfg t)
+let cfg t = Runtime.cfg t.rt
 let quorum t = Config.quorum_bft (cfg t)
 
 let create ~env ~id ~store =
-  let config = env.keys.Keys.config in
-  let san =
-    Sanitizer.create ~enabled:config.Config.sanitize ~f:config.Config.f
-      ~c:config.Config.c ()
+  let rt =
+    Runtime.create ~env ~id
+      ~policy:{ Runtime.exec_window = None; flush_max = true; signed_broadcast = true }
+      ~request_msg:(fun r -> Pbft_types.Request r)
+      ~reply_msg:(fun ~view ~replica ~client ~timestamp ~seq ~value ->
+        Pbft_types.Reply { view; replica; client; timestamp; seq; value })
+      ~store ~new_slot ~is_committed:(fun sl -> Option.is_some sl.committed)
   in
-  Sanitizer.check_config san ~n:(Config.n config);
-  {
-    env;
-    id;
-    san;
-    store;
-    view = 0;
-    next_seq = 1;
-    ls = 0;
-    slots = Hashtbl.create 128;
-    pending = Queue.create ();
-    pending_keys = Hashtbl.create 64;
-    client_table = Hashtbl.create 64;
-    checkpoints = Hashtbl.create 8;
-    batching = Batching.create env.keys.Keys.config;
-    batch_timer_armed = false;
-    outstanding = Hashtbl.create 64;
-    last_progress = 0;
-    vc_backoff = 0;
-    sent_vc_for = 0;
-    vc_msgs = Hashtbl.create 4;
-    n_committed = 0;
-    n_view_changes = 0;
-    retired = false;
-  }
+  { rt; checkpoints = Hashtbl.create 8; vc_msgs = Hashtbl.create 4 }
 
-let id t = t.id
-let view t = t.view
-let primary_of t v = v mod n_replicas t
-let is_primary t = Int.equal (primary_of t t.view) t.id
-let last_executed t = Sbft_store.Auth_store.last_executed t.store
-let state_digest t = Sbft_store.Auth_store.digest t.store
-let blocks_committed t = t.n_committed
-let view_changes_completed t = t.n_view_changes
+let id t = t.rt.id
+let view t = t.rt.view
+let is_primary t = Runtime.is_primary t.rt
+let last_executed t = Runtime.last_executed t.rt
+let state_digest t = Sbft_store.Auth_store.digest t.rt.store
+let blocks_committed t = t.rt.n_committed
+let view_changes_completed t = t.rt.n_view_changes
+let retire t = Runtime.retire t.rt
 
-(* Adversary observation surface — same restricted namespace as the
-   SBFT replica so the schedule fuzzer's attacker sees both systems
-   through one lens (see Replica's obs_* block for the rationale). *)
-let obs_view t = t.view
-let obs_last_executed t = last_executed t
-let obs_next_seq t = t.next_seq
-let obs_frontier t = Hashtbl.fold (fun seq _ acc -> max seq acc) t.slots 0
+(* Adversary observation surface: the runtime's obs_* namespace, so the
+   schedule fuzzer's attacker sees both systems through one lens. *)
+let obs_view t = Runtime.obs_view t.rt
+let obs_last_executed t = Runtime.obs_last_executed t.rt
+let obs_next_seq t = Runtime.obs_next_seq t.rt
+let obs_frontier t = Runtime.obs_frontier t.rt
 
 let committed_block t seq =
-  match Hashtbl.find_opt t.slots seq with Some s -> s.committed | None -> None
+  match Hashtbl.find_opt t.rt.slots seq with Some s -> s.committed | None -> None
 
-let slot t seq =
-  match Hashtbl.find_opt t.slots seq with
-  | Some s -> s
-  | None ->
-      let s = new_slot seq in
-      Hashtbl.replace t.slots seq s;
-      s
+let propose t ctx ~seq reqs =
+  Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
+  Runtime.trace t.rt ctx "send:pre-prepare"
+    (Printf.sprintf "seq=%d batch=%d" seq (List.length reqs));
+  Runtime.broadcast t.rt ctx (Pbft_types.Pre_prepare { seq; view = t.rt.view; reqs })
 
-let send t ctx ~dst msg = t.env.send ctx ~src:t.id ~dst msg
-
-(* Every replica timer goes through this wrapper so that retiring the
-   object (cluster teardown / crash) silences callbacks still in
-   flight — the batch timer and the self-rescheduling liveness timer
-   would otherwise tick on as zombies. *)
-let set_replica_timer t ~after f =
-  Engine.set_timer t.env.engine ~node:t.id ~after (fun ctx ->
-      if not t.retired then f ctx)
-
-let retire t = t.retired <- true
-
-(* All-to-all broadcast with one RSA signature by the sender; every
-   receiver pays one verification (charged on receipt). *)
-let broadcast t ctx msg =
-  Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
-  for r = 0 to n_replicas t - 1 do
-    send t ctx ~dst:r msg
-  done
-
-let note_progress t ctx = t.last_progress <- Engine.ctx_now ctx
-
-let mark_outstanding t (r : Types.request) =
-  if r.Types.client >= 0 then Hashtbl.replace t.outstanding (r.Types.client, r.Types.timestamp) r
-
-let trace t ctx kind detail =
-  Trace.emit t.env.trace ~time:(Engine.ctx_now ctx) ~node:t.id ~kind ~detail
+let try_propose t ctx = Runtime.try_propose t.rt ctx ~propose:(propose t)
 
 let rec on_message t ctx ~src msg =
   ignore src;
@@ -179,100 +106,25 @@ let rec on_message t ctx ~src msg =
       on_new_view t ctx ~view ~pre_prepares
   | Pbft_types.Reply _ -> ()
 
-and on_request t ctx (r : Types.request) =
-  match Hashtbl.find_opt t.client_table r.Types.client with
-  | Some (ts, value, seq) when ts >= r.Types.timestamp ->
-      Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
-      send t ctx ~dst:r.Types.client
-        (Pbft_types.Reply
-           { view = t.view; replica = t.id; client = r.Types.client; timestamp = ts; seq; value })
-  | _ ->
-      if is_primary t then begin
-        if not (Hashtbl.mem t.pending_keys (r.Types.client, r.Types.timestamp)) then begin
-          Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-          if Keys.verify_request t.env.keys r then begin
-            Hashtbl.replace t.pending_keys (r.Types.client, r.Types.timestamp) ();
-            Queue.push r t.pending;
-            Batching.observe_pending t.batching (Queue.length t.pending);
-            mark_outstanding t r;
-            try_propose t ctx
-          end
-        end
-      end
-      else if not (Hashtbl.mem t.outstanding (r.Types.client, r.Types.timestamp)) then begin
-        mark_outstanding t r;
-        send t ctx ~dst:(primary_of t t.view) (Pbft_types.Request r)
-      end
-
-and inflight t =
-  let le = last_executed t in
-  let count = ref 0 in
-  for s = le + 1 to t.next_seq - 1 do
-    match Hashtbl.find_opt t.slots s with
-    | Some sl when sl.committed <> None -> ()
-    | _ -> incr count
-  done;
-  !count
-
-and try_propose t ctx =
-  if is_primary t then begin
-    let config = cfg t in
-    let target = Batching.batch_size t.batching in
-    let can () =
-      (not (Queue.is_empty t.pending))
-      && t.next_seq <= t.ls + config.Config.win
-      && inflight t < Batching.max_concurrent config
-    in
-    while can () && Queue.length t.pending >= target do
-      propose t ctx target
-    done;
-    if can () && not t.batch_timer_armed then begin
-      t.batch_timer_armed <- true;
-      ignore
-        (set_replica_timer t ~after:config.Config.batch_timeout
-           (fun ctx ->
-             t.batch_timer_armed <- false;
-             if is_primary t && not (Queue.is_empty t.pending)
-                && t.next_seq <= t.ls + config.Config.win
-                && inflight t < Batching.max_concurrent config
-             then begin
-               propose t ctx (Queue.length t.pending);
-               try_propose t ctx
-             end))
-    end
-  end
-
-and propose t ctx batch =
-  let batch = min batch (min (Queue.length t.pending) (cfg t).Config.max_batch) in
-  if batch > 0 then begin
-    let reqs = List.init batch (fun _ -> Queue.pop t.pending) in
-    List.iter
-      (fun (r : Types.request) -> Hashtbl.remove t.pending_keys (r.Types.client, r.Types.timestamp))
-      reqs;
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-    trace t ctx "send:pre-prepare" (Printf.sprintf "seq=%d batch=%d" seq batch);
-    broadcast t ctx (Pbft_types.Pre_prepare { seq; view = t.view; reqs })
-  end
+and on_request t ctx (r : Types.request) = Runtime.on_request t.rt ctx r ~propose:(propose t)
 
 and on_pre_prepare t ctx ~seq ~view ~reqs =
   let config = cfg t in
-  let sl = slot t seq in
+  let sl = Runtime.slot t.rt seq in
   if
-    Int.equal view t.view && sl.pp = None && seq > t.ls
-    && seq <= t.ls + config.Config.win
+    Int.equal view t.rt.view && sl.pp = None && seq > t.rt.ls
+    && seq <= t.rt.ls + config.Config.win
   then begin
     let real = List.filter (fun (r : Types.request) -> r.Types.client >= 0) reqs in
     Engine.charge ctx (Cost_model.Tally.note "rsa_verify" (List.length real * Cost_model.rsa_verify));
-    if List.for_all (fun r -> Keys.verify_request t.env.keys r) real then begin
+    if List.for_all (fun r -> Keys.verify_request t.rt.env.keys r) real then begin
       Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
       let h = Pbft_types.block_hash ~seq ~view ~reqs in
       sl.pp <- Some (view, reqs, h);
-      List.iter (mark_outstanding t) real;
+      List.iter (Runtime.mark_outstanding t.rt) real;
       if not sl.sent_prepare then begin
         sl.sent_prepare <- true;
-        broadcast t ctx (Pbft_types.Prepare { seq; view; h; replica = t.id })
+        Runtime.broadcast t.rt ctx (Pbft_types.Prepare { seq; view; h; replica = t.rt.id })
       end;
       check_prepared t ctx sl
     end
@@ -280,21 +132,21 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
 
 and check_prepared t ctx sl =
   match sl.pp with
-  | Some (view, _, _) when Int.equal view t.view ->
+  | Some (view, _, _) when Int.equal view t.rt.view ->
       if
         (not sl.prepared)
         && ((Hashtbl.length sl.prepares >= quorum t - 1) [@quorum.adjust 1])
         (* pre-prepare counts as one vote: the [- 1] is declared and
            checked by R12, and the sanitizer count below re-adds it *)
       then begin
-        Sanitizer.check_quorum t.san Sanitizer.Majority
+        Sanitizer.check_quorum t.rt.san Sanitizer.Majority
           ~count:(Hashtbl.length sl.prepares + 1);
         sl.prepared <- true;
         if not sl.sent_commit then begin
           sl.sent_commit <- true;
           match sl.pp with
           | Some (_, _, h) ->
-              broadcast t ctx (Pbft_types.Commit { seq = sl.seq; view; h; replica = t.id })
+              Runtime.broadcast t.rt ctx (Pbft_types.Commit { seq = sl.seq; view; h; replica = t.rt.id })
           | None -> ()
         end
       end;
@@ -302,8 +154,8 @@ and check_prepared t ctx sl =
   | _ -> ()
 
 and on_prepare t ctx ~seq ~view ~h ~replica =
-  if Int.equal view t.view && seq > t.ls && seq <= t.ls + (cfg t).Config.win then begin
-    let sl = slot t seq in
+  if Int.equal view t.rt.view && seq > t.rt.ls && seq <= t.rt.ls + (cfg t).Config.win then begin
+    let sl = Runtime.slot t.rt seq in
     let matches = match sl.pp with Some (_, _, h') -> String.equal h h' | None -> true in
     if matches && not (Hashtbl.mem sl.prepares replica) then begin
       Hashtbl.replace sl.prepares replica ();
@@ -312,8 +164,8 @@ and on_prepare t ctx ~seq ~view ~h ~replica =
   end
 
 and on_commit t ctx ~seq ~view ~h ~replica =
-  if Int.equal view t.view && seq > t.ls && seq <= t.ls + (cfg t).Config.win then begin
-    let sl = slot t seq in
+  if Int.equal view t.rt.view && seq > t.rt.ls && seq <= t.rt.ls + (cfg t).Config.win then begin
+    let sl = Runtime.slot t.rt seq in
     let matches = match sl.pp with Some (_, _, h') -> String.equal h h' | None -> true in
     if matches && not (Hashtbl.mem sl.commits replica) then begin
       Hashtbl.replace sl.commits replica ();
@@ -325,14 +177,14 @@ and check_committed t ctx sl =
   match sl.pp with
   | Some (view, reqs, digest)
     when sl.committed = None && sl.prepared && Hashtbl.length sl.commits >= quorum t ->
-      Sanitizer.check_quorum t.san Sanitizer.Majority
+      Sanitizer.check_quorum t.rt.san Sanitizer.Majority
         ~count:(Hashtbl.length sl.commits);
-      Sanitizer.record_commit t.san ~seq:sl.seq ~view ~digest;
+      Sanitizer.record_commit t.rt.san ~seq:sl.seq ~view ~digest;
       sl.committed <- Some reqs;
-      t.n_committed <- t.n_committed + 1;
-      note_progress t ctx;
+      t.rt.n_committed <- t.rt.n_committed + 1;
+      Runtime.note_progress t.rt ctx;
       Engine.charge ctx (Cost_model.Tally.note "persist" (Cost_model.persist_block (Types.requests_bytes reqs)));
-      trace t ctx "commit" (Printf.sprintf "seq=%d" sl.seq);
+      Runtime.trace t.rt ctx "commit" (Printf.sprintf "seq=%d" sl.seq);
       try_execute t ctx;
       if is_primary t then try_propose t ctx
   | _ -> ()
@@ -342,48 +194,18 @@ and try_execute t ctx =
   let continue = ref true in
   while !continue do
     let next = last_executed t + 1 in
-    match Hashtbl.find_opt t.slots next with
+    match Hashtbl.find_opt t.rt.slots next with
     | Some ({ committed = Some reqs; executed = false; _ } as sl) ->
-        Sanitizer.record_execute t.san ~seq:next;
         sl.executed <- true;
-        Engine.charge ctx (Cost_model.Tally.note "exec" (t.env.exec_cost reqs));
-        let is_dup (r : Types.request) =
-          r.Types.client >= 0
-          &&
-          match Hashtbl.find_opt t.client_table r.Types.client with
-          | Some (ts, _, _) -> ts >= r.Types.timestamp
-          | None -> false
-        in
-        let ops = List.map (fun (r : Types.request) -> if is_dup r then "" else r.Types.op) reqs in
-        let outputs = Sbft_store.Auth_store.execute_block t.store ~seq:next ~ops in
-        note_progress t ctx;
-        List.iter
-          (fun ((r : Types.request), value) ->
-            Hashtbl.remove t.outstanding (r.Types.client, r.Types.timestamp);
-            if r.Types.client >= 0 then begin
-              (match Hashtbl.find_opt t.client_table r.Types.client with
-              | Some (ts, _, _) when ts >= r.Types.timestamp -> ()
-              | _ -> Hashtbl.replace t.client_table r.Types.client (r.Types.timestamp, value, next));
-              Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
-              send t ctx ~dst:r.Types.client
-                (Pbft_types.Reply
-                   {
-                     view = t.view;
-                     replica = t.id;
-                     client = r.Types.client;
-                     timestamp = r.Types.timestamp;
-                     seq = next;
-                     value;
-                   })
-            end)
-          (List.combine reqs outputs);
+        let results, _ = Runtime.execute t.rt ctx ~seq:next reqs in
+        Runtime.reply t.rt ctx ~seq:next results;
         (* Periodic checkpoint: all-to-all digest votes (the quadratic
            protocol SBFT's ingredient 3 replaces). *)
         if next mod Config.checkpoint_interval config = 0 then begin
           Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 64));
-          broadcast t ctx
+          Runtime.broadcast t.rt ctx
             (Pbft_types.Checkpoint
-               { seq = next; digest = state_digest t; replica = t.id })
+               { seq = next; digest = state_digest t; replica = t.rt.id })
         end
     | _ -> continue := false
   done;
@@ -401,47 +223,47 @@ and on_checkpoint t ctx ~seq ~digest ~replica =
   in
   if not (Hashtbl.mem voters replica) then begin
     Hashtbl.replace voters replica ();
-    if Hashtbl.length voters >= quorum t && seq > t.ls then begin
-      Sanitizer.check_quorum t.san Sanitizer.Majority
+    if Hashtbl.length voters >= quorum t && seq > t.rt.ls then begin
+      Sanitizer.check_quorum t.rt.san Sanitizer.Majority
         ~count:(Hashtbl.length voters);
-      t.ls <- seq;
-      note_progress t ctx;
+      t.rt.ls <- seq;
+      Runtime.note_progress t.rt ctx;
       (* GC everything below the stable checkpoint. *)
       let stale =
         List.filter (fun s -> s <= seq)
-          (Det.sorted_keys ~compare:Int.compare t.slots)
+          (Det.sorted_keys ~compare:Int.compare t.rt.slots)
       in
-      List.iter (Hashtbl.remove t.slots) stale;
-      Sanitizer.prune_below t.san ~seq;
-      Sbft_store.Auth_store.gc_below t.store ~seq
+      List.iter (Hashtbl.remove t.rt.slots) stale;
+      Sanitizer.prune_below t.rt.san ~seq;
+      Sbft_store.Auth_store.gc_below t.rt.store ~seq
     end
   end
 
 (* --------------------------- view change --------------------------- *)
 
 and start_view_change t ctx ~target_view =
-  if target_view > t.sent_vc_for then begin
-    t.sent_vc_for <- target_view;
-    trace t ctx "view-change" (Printf.sprintf "to=%d" target_view);
+  if target_view > t.rt.sent_vc_for then begin
+    t.rt.sent_vc_for <- target_view;
+    Runtime.trace t.rt ctx "view-change" (Printf.sprintf "to=%d" target_view);
     (* Certificate list in ascending seq order: the VC message payload
        is replay-visible, so its layout must not depend on Hashtbl
        iteration order. *)
     let prepared =
       List.filter_map
         (fun (seq, sl) ->
-          if sl.prepared && seq > t.ls then
+          if sl.prepared && seq > t.rt.ls then
             match sl.pp with Some (v, reqs, _) -> Some (seq, v, reqs) | None -> None
           else None)
-        (Det.sorted_bindings ~compare:Int.compare t.slots)
+        (Det.sorted_bindings ~compare:Int.compare t.rt.slots)
     in
-    broadcast t ctx
-      (Pbft_types.View_change { view = target_view - 1; ls = t.ls; prepared; replica = t.id })
+    Runtime.broadcast t.rt ctx
+      (Pbft_types.View_change { view = target_view - 1; ls = t.rt.ls; prepared; replica = t.rt.id })
   end
 
 and on_view_change t ctx ~view ~ls ~prepared ~replica =
   ignore ls;
   let target = view + 1 in
-  if target > t.view then begin
+  if target > t.rt.view then begin
     let tbl =
       match Hashtbl.find_opt t.vc_msgs target with
       | Some tbl -> tbl
@@ -452,13 +274,13 @@ and on_view_change t ctx ~view ~ls ~prepared ~replica =
     in
     if not (Hashtbl.mem tbl replica) then begin
       Hashtbl.replace tbl replica prepared;
-      if Hashtbl.length tbl >= Config.pi_threshold (cfg t) && t.sent_vc_for < target
+      if Hashtbl.length tbl >= Config.pi_threshold (cfg t) && t.rt.sent_vc_for < target
       then begin
-        Sanitizer.check_quorum t.san Sanitizer.Pi ~count:(Hashtbl.length tbl);
+        Sanitizer.check_quorum t.rt.san Sanitizer.Pi ~count:(Hashtbl.length tbl);
         start_view_change t ctx ~target_view:target
       end;
-      if Int.equal (primary_of t target) t.id && Hashtbl.length tbl >= quorum t then begin
-        Sanitizer.check_quorum t.san Sanitizer.Majority
+      if Int.equal (Runtime.primary_of t.rt target) t.rt.id && Hashtbl.length tbl >= quorum t then begin
+        Sanitizer.check_quorum t.rt.san Sanitizer.Majority
           ~count:(Hashtbl.length tbl);
         (* Re-propose the highest-view prepared block per slot. *)
         (* Visit senders in replica-id order: equal-view ties keep the
@@ -478,19 +300,15 @@ and on_view_change t ctx ~view ~ls ~prepared ~replica =
           Hashtbl.fold (fun seq (_, reqs) acc -> (seq, reqs) :: acc) best []
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         in
-        trace t ctx "send:new-view" (Printf.sprintf "view=%d" target);
-        broadcast t ctx (Pbft_types.New_view { view = target; pre_prepares })
+        Runtime.trace t.rt ctx "send:new-view" (Printf.sprintf "view=%d" target);
+        Runtime.broadcast t.rt ctx (Pbft_types.New_view { view = target; pre_prepares })
       end
     end
   end
 
 and on_new_view t ctx ~view ~pre_prepares =
-  if view > t.view then begin
-    Sanitizer.record_view_entry t.san ~view;
-    t.view <- view;
-    t.n_view_changes <- t.n_view_changes + 1;
-    t.vc_backoff <- 0;
-    note_progress t ctx;
+  if view > t.rt.view then begin
+    Runtime.enter_view t.rt ctx ~view;
     (* Reset per-view state of open slots. *)
     Det.iter_sorted ~compare:Int.compare
       (fun _ sl ->
@@ -502,52 +320,16 @@ and on_new_view t ctx ~view ~pre_prepares =
           sl.sent_commit <- false;
           sl.prepared <- false
         end)
-      t.slots;
-    let top = ref t.ls in
+      t.rt.slots;
+    let top = ref t.rt.ls in
     List.iter
       (fun (seq, reqs) ->
         if seq > !top then top := seq;
-        if seq > t.ls then on_pre_prepare t ctx ~seq ~view ~reqs)
+        if seq > t.rt.ls then on_pre_prepare t ctx ~seq ~view ~reqs)
       pre_prepares;
-    if is_primary t then begin
-      t.next_seq <- max t.next_seq (!top + 1);
-      (* Re-drive requests stranded by the old view, in (client,
-         timestamp) order: the pending queue and resend sequence are
-         replay-visible. *)
-      Det.iter_sorted ~compare:(Det.compare_pair Int.compare Int.compare)
-        (fun key r ->
-          if not (Hashtbl.mem t.pending_keys key) then begin
-            Hashtbl.replace t.pending_keys key ();
-            Queue.push r t.pending
-          end)
-        t.outstanding;
-      try_propose t ctx
-    end
-    else
-      Det.iter_sorted ~compare:(Det.compare_pair Int.compare Int.compare)
-        (fun _ r -> send t ctx ~dst:(primary_of t t.view) (Pbft_types.Request r))
-        t.outstanding
+    if is_primary t then t.rt.next_seq <- max t.rt.next_seq (!top + 1);
+    Runtime.redrive t.rt ctx;
+    if is_primary t then try_propose t ctx
   end
 
-and liveness_tick t ctx =
-  let config = cfg t in
-  let waiting = Hashtbl.length t.outstanding > 0 || not (Queue.is_empty t.pending) in
-  if waiting then begin
-    let timeout = config.Config.view_change_timeout * (1 lsl min 6 t.vc_backoff) in
-    if Engine.ctx_now ctx - t.last_progress > timeout then begin
-      t.vc_backoff <- t.vc_backoff + 1;
-      start_view_change t ctx ~target_view:(max (t.view + 1) (t.sent_vc_for + 1))
-    end
-  end
-
-let rec arm_liveness t =
-  ignore
-    (set_replica_timer t
-       ~after:((cfg t).Config.view_change_timeout / 2)
-       (fun ctx ->
-         liveness_tick t ctx;
-         arm_liveness t))
-
-let start t ctx =
-  note_progress t ctx;
-  arm_liveness t
+let start t ctx = Runtime.start t.rt ctx ~start_view_change:(start_view_change t)

@@ -5,15 +5,12 @@
     signature (following "Making BFT systems tolerate Byzantine faults",
     the configuration the paper benchmarks against); clients collect
     [f + 1] matching replies.  Includes batching, checkpointing with
-    all-to-all checkpoint messages, and a PBFT-style view change. *)
+    all-to-all checkpoint messages, and a PBFT-style view change.  The
+    protocol-independent skeleton (request intake, client table, timers,
+    proposer loop, liveness) is {!Sbft_core.Runtime}, shared with SBFT. *)
 
-type env = {
-  engine : Sbft_sim.Engine.t;
-  trace : Sbft_sim.Trace.t;
-  keys : Sbft_core.Keys.t;  (** only the PKI part is used *)
-  send : Sbft_sim.Engine.ctx -> src:int -> dst:int -> Pbft_types.msg -> unit;
-  exec_cost : Pbft_types.request list -> Sbft_sim.Engine.time;
-}
+type env = Pbft_types.msg Sbft_core.Runtime.env
+(** The cluster-wide environment; see {!Sbft_core.Runtime.env}. *)
 
 type t
 
@@ -29,7 +26,7 @@ val committed_block : t -> int -> Pbft_types.request list option
 
 (** {2 Adversary observation surface}
 
-    Mirrors {!Sbft_core.Replica}'s [obs_*] namespace: view/progress
+    The runtime's [obs_*] namespace, as in {!Sbft_core.Replica}: view/progress
     counters and the highest active slot.  Results are attacker-visible
     by definition — the R6 taint lint bars protocol handlers from
     consuming them. *)

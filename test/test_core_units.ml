@@ -42,6 +42,7 @@ let test_config_validate () =
 (* Collectors *)
 
 let config = Config.sbft ~f:4 ~c:2 (* n = 17 *)
+let memo = Collectors.new_memo ()
 
 let test_primary_rotation () =
   check_int "view 0" 0 (Collectors.primary ~config ~view:0);
@@ -49,19 +50,20 @@ let test_primary_rotation () =
   check_int "wraps" 1 (Collectors.primary ~config ~view:(Config.n config + 1))
 
 let test_collectors_basic () =
-  let cs = Collectors.c_collectors ~config ~view:3 ~seq:42 in
+  let cs = Collectors.c_collectors ~memo ~config ~view:3 ~seq:42 in
   check_int "c+1 collectors" 3 (List.length cs);
   check "no primary" false (List.mem (Collectors.primary ~config ~view:3) cs);
   check "distinct" true (List.sort_uniq compare cs = List.sort compare cs);
   check "in range" true (List.for_all (fun r -> r >= 0 && r < Config.n config) cs);
-  (* Deterministic. *)
-  check "deterministic" true (cs = Collectors.c_collectors ~config ~view:3 ~seq:42)
+  (* Deterministic: a fresh memo (another cluster) draws the same group. *)
+  check "deterministic" true
+    (cs = Collectors.c_collectors ~memo:(Collectors.new_memo ()) ~config ~view:3 ~seq:42)
 
 let test_collectors_rotate_with_seq () =
   let distinct =
     List.sort_uniq compare
       (List.concat_map
-         (fun seq -> Collectors.c_collectors ~config ~view:0 ~seq)
+         (fun seq -> Collectors.c_collectors ~memo ~config ~view:0 ~seq)
          (List.init 50 (fun i -> i)))
   in
   (* Load spreads over many replicas (paper: round-robin revolving). *)
@@ -72,14 +74,14 @@ let test_collectors_differ_from_e_collectors () =
   let all_same =
     List.for_all
       (fun seq ->
-        Collectors.c_collectors ~config ~view:0 ~seq
-        = Collectors.e_collectors ~config ~view:0 ~seq)
+        Collectors.c_collectors ~memo ~config ~view:0 ~seq
+        = Collectors.e_collectors ~memo ~config ~view:0 ~seq)
       (List.init 20 (fun i -> i + 1))
   in
   check "independent groups" false all_same
 
 let test_slow_path_primary_last () =
-  let sc = Collectors.slow_path_collectors ~config ~view:7 ~seq:9 in
+  let sc = Collectors.slow_path_collectors ~memo ~config ~view:7 ~seq:9 in
   check_int "primary is last" (Collectors.primary ~config ~view:7)
     (List.nth sc (List.length sc - 1))
 

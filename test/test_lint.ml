@@ -371,6 +371,13 @@ let by_line_rule (a : Lint.finding) (b : Lint.finding) =
   | 0 -> String.compare a.Lint.rule b.Lint.rule
   | n -> n
 
+(* Summary of a runtime module, attributed to its root-relative path, for
+   R9/R10 to follow calls into. *)
+let runtime_summary ~disk_path ~path =
+  match Msgflow.parse ~path (read_file disk_path) with
+  | Some structure -> [ Msgflow.summarize ~path structure ]
+  | None -> []
+
 let lint_fixture disk_path =
   let prefix = "lint_fixtures/" in
   let lint_path =
@@ -393,7 +400,11 @@ let lint_fixture disk_path =
   List.sort by_line_rule
     (r5
     @ Lint.lint_source ~path:lint_path source
-    @ Discipline.lint_source ~path:lint_path source
+    @ Discipline.lint_source
+        ~runtime:
+          (runtime_summary ~disk_path:"lint_fixtures/lib/core/runtime.ml"
+             ~path:"lib/core/runtime.ml")
+        ~path:lint_path source
     @ Quorum.lint_source ~defs:Quorum.default_defs ~path:lint_path source)
 
 let test_fixture_golden () =
@@ -419,13 +430,16 @@ let test_fixture_golden () =
    therefore assert presence of the expected finding, not counts.) *)
 
 let replica_path = "../lib/core/replica.ml"
+let runtime_path = "../lib/core/runtime.ml"
 let config_path = "../lib/core/config.ml"
 let types_path = "../lib/core/types.ml"
 
 let lint_real ~path source =
   let findings =
     Lint.lint_source ~path source
-    @ Discipline.lint_source ~path source
+    @ Discipline.lint_source
+        ~runtime:(runtime_summary ~disk_path:runtime_path ~path:"lib/core/runtime.ml")
+        ~path source
     @ Quorum.lint_source ~defs:Quorum.default_defs ~path source
   in
   let allow = Lint.Allow.parse (read_file "../lint.allow") in
@@ -520,14 +534,15 @@ let test_mutation_r12_weak_vc () =
   Alcotest.(check bool) "R12 finding names tau-vc-intersection" true
     (has_finding ~rule:"R12" ~needle:"tau-vc-intersection" kept)
 
-(* R13: drop the retire guard from the replica's timer wrapper — every
-   armed callback becomes a potential zombie tick. *)
+(* R13: drop the retire guard from the replica runtime's timer wrapper
+   (every replica timer goes through it) — every armed callback becomes
+   a potential zombie tick. *)
 let test_mutation_r13_timer_guard () =
   let mutated =
-    mutate (read_file replica_path) ~after:"let set_replica_timer"
+    mutate (read_file runtime_path) ~after:"let set_replica_timer"
       ~needle:"if not t.retired then f ctx" ~repl:"f ctx"
   in
-  let kept = lint_replica mutated in
+  let kept = lint_real ~path:"lib/core/runtime.ml" mutated in
   Alcotest.(check bool) "R13 finding at the raw arm site" true
     (has_finding ~rule:"R13" ~needle:"set_timer arms a timer" kept)
 
@@ -536,7 +551,7 @@ let test_mutation_r13_timer_guard () =
 let test_mutation_r14_drop_check () =
   let mutated =
     mutate (read_file replica_path) ~after:"and on_view_change"
-      ~needle:"Sanitizer.check_quorum t.san Sanitizer.Pi ~count:support;"
+      ~needle:"Sanitizer.check_quorum t.rt.san Sanitizer.Pi ~count:support;"
       ~repl:""
   in
   let kept = lint_replica mutated in

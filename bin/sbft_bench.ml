@@ -62,10 +62,13 @@ let run protocol f workload num_clients failures topology duration warmup seed c
   in
   Printf.printf "running %s, f=%d, %d clients, %d failures...\n%!"
     (Scenario.protocol_name protocol) f num_clients failures;
-  let point = Scenario.run scenario in
-  Report.print_points ~title:"result" [ point ];
-  (match csv with Some path -> Report.write_csv ~path [ point ] | None -> ());
-  if not point.Scenario.agreement then exit 2
+  match Scenario.run scenario with
+  | exception Invalid_argument e -> Error e  (* the deployment rejected the config *)
+  | point ->
+      Report.print_points ~title:"result" [ point ];
+      (match csv with Some path -> Report.write_csv ~path [ point ] | None -> ());
+      if not point.Scenario.agreement then exit 2;
+      Ok ()
 
 let cmd =
   let protocol =
@@ -93,7 +96,8 @@ let cmd =
   Cmd.v
     (Cmd.info "sbft_bench" ~doc:"Run one SBFT/PBFT simulation scenario")
     Term.(
-      const run $ protocol $ f $ workload $ clients $ failures $ topology $ duration
-      $ warmup $ seed $ csv)
+      term_result'
+        (const run $ protocol $ f $ workload $ clients $ failures $ topology $ duration
+         $ warmup $ seed $ csv))
 
 let () = exit (Cmd.eval cmd)

@@ -22,34 +22,87 @@ let kv_service =
           reqs);
   }
 
-type t = {
+type ('msg, 'replica, 'client) protocol = {
+  size : 'msg -> int;
+  replica :
+    env:'msg Runtime.env -> my:Keys.replica_keys -> store:Sbft_store.Auth_store.t ->
+    durable:Replica.durable -> 'replica;
+  client :
+    env:'msg Runtime.env -> id:int -> keypair:Pki.keypair ->
+    on_complete:(timestamp:int -> latency:Engine.time -> value:string -> unit) -> 'client;
+  on_replica : 'replica -> Engine.ctx -> src:int -> 'msg -> unit;
+  on_client : 'client -> Engine.ctx -> src:int -> 'msg -> unit;
+  start : 'replica -> Engine.ctx -> unit;
+  run_closed_loop :
+    'client -> num_requests:int -> make_op:(int -> string) -> start_at:Engine.time -> unit;
+  completed : 'client -> int;
+  last_executed : 'replica -> int;
+  committed_block : 'replica -> int -> Types.request list option;
+  state_digest : 'replica -> string;
+  fast_commits : 'replica -> int;
+  slow_commits : 'replica -> int;
+  view_changes : 'replica -> int;
+}
+
+let sbft =
+  {
+    size = Types.size;
+    replica = Replica.create;
+    client = Client.create;
+    on_replica = Replica.on_message;
+    on_client = Client.on_message;
+    start = Replica.start;
+    run_closed_loop = Client.run_closed_loop;
+    completed = Client.completed;
+    last_executed = Replica.last_executed;
+    committed_block = Replica.committed_block;
+    state_digest = Replica.state_digest;
+    fast_commits = Replica.fast_commits;
+    slow_commits = Replica.slow_commits;
+    view_changes = Replica.view_changes_completed;
+  }
+
+type ('msg, 'replica, 'client) deployment = {
+  protocol : ('msg, 'replica, 'client) protocol;
   engine : Engine.t;
   network : Network.t;
   trace : Trace.t;
   keys : Keys.t;
   config : Config.t;
-  replicas : Replica.t array;
-  clients : Client.t array;
+  replicas : 'replica array;
+  clients : 'client array;
   latency : Stats.Latency.t;
   throughput : Stats.Throughput.t;
   (* rebuild machinery for crash-amnesia recovery *)
   service : service;
-  env : Replica.env;
+  env : 'msg Runtime.env;
   replica_keys : Keys.replica_keys array;
   exec_cache : Sbft_store.Auth_store.cache;
   durables : Replica.durable array;
   amnesia : bool array;  (* crashed with volatile state wiped *)
 }
 
+type t = (Types.msg, Replica.t, Client.t) deployment
+
 (* CPU cost of pushing one message out (syscall + TLS record). *)
 let send_overhead = Engine.us 20
 
-let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
+let new_durable () =
+  { Replica.wal = Sbft_store.Wal.create (); blocks = Sbft_store.Block_store.create () }
+
+(* All honest replicas execute identical blocks: they share the
+   execution work and the resulting persistent state. *)
+let new_replica protocol ~env ~service ~exec_cache ~my ~durable =
+  let store = service.make_store () in
+  Sbft_store.Auth_store.set_cache store exec_cache;
+  protocol.replica ~env ~my ~store ~durable
+
+let deploy protocol ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
     ?(on_complete = fun ~client:_ ~timestamp:_ ~value:_ -> ()) ~config
     ~num_clients ~topology ~service () =
   (match Config.validate config with
   | Ok () -> ()
-  | Error e -> invalid_arg ("Cluster.create: " ^ e));
+  | Error e -> invalid_arg ("Cluster.deploy: " ^ e));
   let n = Config.n config in
   let num_nodes = n + num_clients in
   let engine = Engine.create ~num_nodes ~seed () in
@@ -63,7 +116,7 @@ let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
   let deliver = ref (fun _ctx ~src:_ ~dst:_ _msg -> ()) in
   let send ctx ~src ~dst msg =
     Engine.charge ctx send_overhead;
-    Network.send network engine ~src ~dst ~size:(Types.size msg)
+    Network.send network engine ~src ~dst ~size:(protocol.size msg)
       ~at:(Engine.ctx_now ctx) (fun ctx -> !deliver ctx ~src ~dst msg)
   in
   let env =
@@ -76,25 +129,18 @@ let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
       collectors = Collectors.new_memo ();
     }
   in
-  (* All honest replicas execute identical blocks: share the execution
-     work and the resulting persistent state across them. *)
   let exec_cache = Sbft_store.Auth_store.new_cache () in
-  let durables =
-    Array.init n (fun _ ->
-        { Replica.wal = Sbft_store.Wal.create (); blocks = Sbft_store.Block_store.create () })
-  in
+  let durables = Array.init n (fun _ -> new_durable ()) in
   let replicas =
     Array.init n (fun i ->
-        let store = service.make_store () in
-        Sbft_store.Auth_store.set_cache store exec_cache;
-        Replica.create ~env ~my:replica_keys.(i) ~store ~durable:durables.(i))
+        new_replica protocol ~env ~service ~exec_cache ~my:replica_keys.(i)
+          ~durable:durables.(i))
   in
   let latency = Stats.Latency.create () in
   let throughput = Stats.Throughput.create () in
   let clients =
     Array.init num_clients (fun i ->
-        let cid = n + i in
-        Client.create ~env ~id:cid ~keypair:client_kps.(i)
+        protocol.client ~env ~id:(n + i) ~keypair:client_kps.(i)
           ~on_complete:(fun ~timestamp ~latency:l ~value ->
             Stats.Latency.add latency l;
             Stats.Throughput.add throughput ~at:(Engine.now engine) 1;
@@ -102,12 +148,13 @@ let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
   in
   deliver :=
     (fun ctx ~src ~dst msg ->
-      if dst < n then Replica.on_message replicas.(dst) ctx ~src msg
-      else if dst < num_nodes then Client.on_message clients.(dst - n) ctx ~src msg);
-  Array.iter
-    (fun r -> Engine.dispatch engine ~dst:(Replica.id r) ~at:0 (fun ctx -> Replica.start r ctx))
+      if dst < n then protocol.on_replica replicas.(dst) ctx ~src msg
+      else if dst < num_nodes then protocol.on_client clients.(dst - n) ctx ~src msg);
+  Array.iteri
+    (fun i r -> Engine.dispatch engine ~dst:i ~at:0 (fun ctx -> protocol.start r ctx))
     replicas;
   {
+    protocol;
     engine;
     network;
     trace = tr;
@@ -125,13 +172,15 @@ let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
     amnesia = Array.make n false;
   }
 
+let create = deploy sbft
+
 let num_replicas t = Array.length t.replicas
 let client_id t i = num_replicas t + i
 
 let start_clients t ~requests_per_client ~make_op =
   Array.iteri
     (fun i c ->
-      Client.run_closed_loop c ~num_requests:requests_per_client
+      t.protocol.run_closed_loop c ~num_requests:requests_per_client
         ~make_op:(fun k -> make_op ~client:i k)
         ~start_at:0)
     t.clients
@@ -176,16 +225,15 @@ let recover_replica t id =
       else begin
         (* Durability disabled: model the restart as losing the disk
            too, so the fuzzer can prove the WAL is load-bearing. *)
-        let d =
-          { Replica.wal = Sbft_store.Wal.create (); blocks = Sbft_store.Block_store.create () }
-        in
+        let d = new_durable () in
         t.durables.(id) <- d;
         d
       end
     in
-    let store = t.service.make_store () in
-    Sbft_store.Auth_store.set_cache store t.exec_cache;
-    let r = Replica.create ~env:t.env ~my:t.replica_keys.(id) ~store ~durable in
+    let r =
+      new_replica t.protocol ~env:t.env ~service:t.service ~exec_cache:t.exec_cache
+        ~my:t.replica_keys.(id) ~durable
+    in
     t.replicas.(id) <- r;
     Engine.recover t.engine id;
     Engine.dispatch t.engine ~dst:id ~at:(Engine.now t.engine) (fun ctx ->
@@ -196,11 +244,13 @@ let recover_replica t id =
 let run_for t duration = Engine.run_until t.engine (Engine.now t.engine + duration)
 
 let total_completed t =
-  Array.fold_left (fun acc c -> acc + Client.completed c) 0 t.clients
+  Array.fold_left (fun acc c -> acc + t.protocol.completed c) 0 t.clients
 
 (* Compare committed blocks across replicas at every height any replica
    executed, and state digests at equal executed heights. *)
-let replicas_agree ~last_executed ~committed_block ~state_digest replicas =
+let agreement_ok t =
+  let { last_executed; committed_block; state_digest; _ } = t.protocol in
+  let replicas = t.replicas in
   let ok = ref true in
   let n = Array.length replicas in
   let max_executed = Array.fold_left (fun acc r -> max acc (last_executed r)) 0 replicas in
@@ -226,7 +276,3 @@ let replicas_agree ~last_executed ~committed_block ~state_digest replicas =
     done
   done;
   !ok
-
-let agreement_ok t =
-  replicas_agree ~last_executed:Replica.last_executed ~committed_block:Replica.committed_block
-    ~state_digest:Replica.state_digest t.replicas

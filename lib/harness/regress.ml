@@ -92,17 +92,10 @@ let c_of_protocol = function Scenario.SBFT c -> c | _ -> 0
 let entry_of_point ~name (p : Scenario.point) ~crypto =
   let s = p.Scenario.scenario in
   let c = c_of_protocol s.Scenario.protocol in
-  (* n flows from Config (R4), through the same constructor the
-     scenario itself uses. *)
-  let n =
-    match s.Scenario.protocol with
-    | Scenario.SBFT c -> Sbft_core.Config.n (Sbft_core.Config.sbft ~f:s.Scenario.f ~c)
-    | _ -> Sbft_core.Config.n (Sbft_core.Config.linear_pbft ~f:s.Scenario.f)
-  in
   {
     name;
     protocol = Scenario.protocol_name s.Scenario.protocol;
-    n;
+    n = p.Scenario.n;
     f = s.Scenario.f;
     c;
     clients = s.Scenario.num_clients;

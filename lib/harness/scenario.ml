@@ -37,6 +37,7 @@ let default ?(failures = 0) ?(topology = `Continent) ?(warmup = Engine.ms 750)
 
 type point = {
   scenario : t;
+  n : int;
   throughput_ops : float;
   median_latency_ms : float;
   mean_latency_ms : float;
@@ -111,152 +112,96 @@ let log_point t (p : point) =
     (p.events_per_sec /. 1000.)
     (Gc.((quick_stat ()).heap_words) * 8 / 1_048_576)
 
-(* Crash the initial primary (node 0) mid-run: the view-change variant
-   of the paper-scale family.  Scheduled as a bare engine thunk so it
-   needs no cluster plumbing. *)
-let arm_primary_crash engine = function
-  | None -> ()
-  | Some at -> Engine.schedule engine ~at (fun () -> Engine.crash engine 0)
+(* A deployment of either protocol, once it has run. *)
+type deployment = Deployment : (_, _, _) Cluster.deployment -> deployment
+
+(* Build the deployment, crash the configured backups (and the initial
+   primary at [crash_primary_at]), and run the clients to the horizon.
+   The protocol only picks the descriptor. *)
+let simulate ~trace t =
+  let go protocol =
+    let cluster =
+      Cluster.deploy protocol ~trace ~seed:t.seed ~cpu_scale:t.cpu_scale
+        ~config:(config_of t) ~num_clients:t.num_clients
+        ~topology:(topology_of t.topology) ~service:(service_of t.workload) ()
+    in
+    Cluster.crash_replicas cluster
+      (crash_set ~n:(Cluster.num_replicas cluster) ~failures:t.failures);
+    Option.iter
+      (fun at ->
+        Engine.schedule cluster.Cluster.engine ~at (fun () ->
+            Cluster.crash_replicas cluster [ 0 ]))
+      t.crash_primary_at;
+    Cluster.start_clients cluster ~requests_per_client:t.requests_per_client
+      ~make_op:(make_op_of t.workload);
+    Cluster.run_for cluster (t.warmup + t.duration);
+    Deployment cluster
+  in
+  match t.protocol with
+  | PBFT -> go Sbft_pbft.Pbft_cluster.pbft
+  | Linear_PBFT | Linear_PBFT_fast | SBFT _ -> go Cluster.sbft
 
 (* One run with tracing on, returning the raw event stream instead of a
    measurement point — the input to the R8 replay-divergence checker. *)
 let run_traced t =
-  let config = config_of t in
-  let topology = topology_of t.topology in
-  let service = service_of t.workload in
-  let horizon = t.warmup + t.duration in
-  match t.protocol with
-  | PBFT ->
-      let open Sbft_pbft in
-      let cluster =
-        Pbft_cluster.create ~trace:true ~seed:t.seed ~cpu_scale:t.cpu_scale
-          ~config ~num_clients:t.num_clients ~topology ~service ()
-      in
-      Pbft_cluster.crash_replicas cluster
-        (crash_set ~n:(Config.n cluster.Pbft_cluster.config) ~failures:t.failures);
-      arm_primary_crash cluster.Pbft_cluster.engine t.crash_primary_at;
-      Pbft_cluster.start_clients cluster ~requests_per_client:t.requests_per_client
-        ~make_op:(make_op_of t.workload);
-      Pbft_cluster.run_for cluster horizon;
-      Trace.records cluster.Pbft_cluster.trace
-  | _ ->
-      let cluster =
-        Cluster.create ~trace:true ~seed:t.seed ~cpu_scale:t.cpu_scale ~config
-          ~num_clients:t.num_clients ~topology ~service ()
-      in
-      Cluster.crash_replicas cluster
-        (crash_set ~n:(Config.n config) ~failures:t.failures);
-      arm_primary_crash cluster.Cluster.engine t.crash_primary_at;
-      Cluster.start_clients cluster ~requests_per_client:t.requests_per_client
-        ~make_op:(make_op_of t.workload);
-      Cluster.run_for cluster horizon;
-      Trace.records cluster.Cluster.trace
+  match simulate ~trace:true t with
+  | Deployment cluster -> Trace.records cluster.Cluster.trace
 
 let run t =
   let host0 = Sys.time () in
   let minor0 = Gc.minor_words () in
-  let config = config_of t in
-  let topology = topology_of t.topology in
-  let service = service_of t.workload in
-  let horizon = t.warmup + t.duration in
-  let point ~engine ~throughput ~latency ~completed ~messages ~bytes
-      ~fast_fraction ~view_changes ~agreement =
-    (* A finite-request run drains before the horizon; its measurement
-       window ends at the last completion, not at the idle tail. *)
-    let until =
-      if t.requests_per_client = max_int then horizon
-      else
-        match Stats.Throughput.last_at throughput with
-        | Some at when at > t.warmup -> at
-        | _ -> horizon
-    in
-    let reqs_per_sec =
-      Stats.Throughput.rate throughput ~from_:t.warmup ~until
-    in
-    let host_seconds = Sys.time () -. host0 in
-    let events = Engine.events_executed engine in
-    {
-      scenario = t;
-      throughput_ops = reqs_per_sec *. float_of_int (ops_per_request t.workload);
-      median_latency_ms = Stats.Latency.median_ms latency;
-      mean_latency_ms = Stats.Latency.mean_ms latency;
-      p90_latency_ms = Stats.Latency.percentile_ms latency 0.9;
-      p99_latency_ms = Stats.Latency.percentile_ms latency 0.99;
-      completed_requests = completed;
-      messages;
-      bytes;
-      fast_fraction;
-      view_changes;
-      agreement;
-      host_seconds;
-      events;
-      events_per_sec =
-        (if host_seconds > 0. then float_of_int events /. host_seconds else 0.);
-      minor_words = Gc.minor_words () -. minor0;
-      profile = Engine.profile engine;
-    }
-  in
-  match t.protocol with
-  | PBFT ->
-      let open Sbft_pbft in
-      let cluster =
-        Pbft_cluster.create ~seed:t.seed ~cpu_scale:t.cpu_scale ~config
-          ~num_clients:t.num_clients ~topology ~service ()
+  match simulate ~trace:false t with
+  | Deployment cluster ->
+      let { Cluster.protocol = p; engine; network; replicas; latency; throughput; _ } =
+        cluster
       in
-      Pbft_cluster.crash_replicas cluster
-        (crash_set ~n:(Config.n cluster.Pbft_cluster.config) ~failures:t.failures);
-      arm_primary_crash cluster.Pbft_cluster.engine t.crash_primary_at;
-      Pbft_cluster.start_clients cluster ~requests_per_client:t.requests_per_client
-        ~make_op:(make_op_of t.workload);
-      Pbft_cluster.run_for cluster horizon;
-      point ~engine:cluster.Pbft_cluster.engine
-        ~throughput:cluster.Pbft_cluster.throughput
-        ~latency:cluster.Pbft_cluster.latency
-        ~completed:(Pbft_cluster.total_completed cluster)
-        ~messages:(Network.messages_sent cluster.Pbft_cluster.network)
-        ~bytes:(Network.bytes_sent cluster.Pbft_cluster.network)
-        ~fast_fraction:0.0
-        ~view_changes:
-          (Array.fold_left
-             (fun acc r -> max acc (Pbft_replica.view_changes_completed r))
-             0 cluster.Pbft_cluster.replicas)
-        ~agreement:(Pbft_cluster.agreement_ok cluster)
-      |> fun p ->
-      log_point t p;
+      let horizon = t.warmup + t.duration in
+      (* A finite-request run drains before the horizon; its measurement
+         window ends at the last completion, not at the idle tail. *)
+      let until =
+        if t.requests_per_client = max_int then horizon
+        else
+          match Stats.Throughput.last_at throughput with
+          | Some at when at > t.warmup -> at
+          | _ -> horizon
+      in
+      let reqs_per_sec = Stats.Throughput.rate throughput ~from_:t.warmup ~until in
+      let fast = ref 0 and slow = ref 0 in
+      Array.iteri
+        (fun i r ->
+          if not (Engine.is_crashed engine i) then begin
+            fast := !fast + p.fast_commits r;
+            slow := !slow + p.slow_commits r
+          end)
+        replicas;
+      let agreement = Cluster.agreement_ok cluster in
+      let host_seconds = Sys.time () -. host0 in
+      let events = Engine.events_executed engine in
+      let point =
+        {
+          scenario = t;
+          n = Cluster.num_replicas cluster;
+          throughput_ops = reqs_per_sec *. float_of_int (ops_per_request t.workload);
+          median_latency_ms = Stats.Latency.median_ms latency;
+          mean_latency_ms = Stats.Latency.mean_ms latency;
+          p90_latency_ms = Stats.Latency.percentile_ms latency 0.9;
+          p99_latency_ms = Stats.Latency.percentile_ms latency 0.99;
+          completed_requests = Cluster.total_completed cluster;
+          messages = Network.messages_sent network;
+          bytes = Network.bytes_sent network;
+          fast_fraction =
+            (if !fast + !slow = 0 then 0.0
+             else float_of_int !fast /. float_of_int (!fast + !slow));
+          view_changes = Array.fold_left (fun acc r -> max acc (p.view_changes r)) 0 replicas;
+          agreement;
+          host_seconds;
+          events;
+          events_per_sec =
+            (if host_seconds > 0. then float_of_int events /. host_seconds else 0.);
+          minor_words = Gc.minor_words () -. minor0;
+          profile = Engine.profile engine;
+        }
+      in
+      log_point t point;
       Gc.compact ();
-      p
-  | _ ->
-      let cluster =
-        Cluster.create ~seed:t.seed ~cpu_scale:t.cpu_scale ~config
-          ~num_clients:t.num_clients ~topology ~service ()
-      in
-      Cluster.crash_replicas cluster
-        (crash_set ~n:(Config.n config) ~failures:t.failures);
-      arm_primary_crash cluster.Cluster.engine t.crash_primary_at;
-      Cluster.start_clients cluster ~requests_per_client:t.requests_per_client
-        ~make_op:(make_op_of t.workload);
-      Cluster.run_for cluster horizon;
-      let fast, slow =
-        Array.fold_left
-          (fun (f_, s) r ->
-            if Engine.is_crashed cluster.Cluster.engine (Replica.id r) then (f_, s)
-            else (f_ + Replica.fast_commits r, s + Replica.slow_commits r))
-          (0, 0) cluster.Cluster.replicas
-      in
-      point ~engine:cluster.Cluster.engine
-        ~throughput:cluster.Cluster.throughput ~latency:cluster.Cluster.latency
-        ~completed:(Cluster.total_completed cluster)
-        ~messages:(Network.messages_sent cluster.Cluster.network)
-        ~bytes:(Network.bytes_sent cluster.Cluster.network)
-        ~fast_fraction:
-          (if fast + slow = 0 then 0.0
-           else float_of_int fast /. float_of_int (fast + slow))
-        ~view_changes:
-          (Array.fold_left
-             (fun acc r -> max acc (Replica.view_changes_completed r))
-             0 cluster.Cluster.replicas)
-        ~agreement:(Cluster.agreement_ok cluster)
-      |> fun p ->
-      log_point t p;
-      Gc.compact ();
-      p
+      point

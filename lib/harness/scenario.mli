@@ -59,6 +59,7 @@ val default :
 
 type point = {
   scenario : t;
+  n : int;  (** replicas in the deployment *)
   throughput_ops : float;  (** operations (not requests) per second *)
   median_latency_ms : float;
   mean_latency_ms : float;

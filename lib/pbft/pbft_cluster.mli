@@ -1,33 +1,7 @@
-(** Simulated PBFT deployment, mirroring {!Sbft_core.Cluster}. *)
+(** The PBFT baseline as a {!Sbft_core.Cluster} protocol: deploy it with
+    [Cluster.deploy pbft].  Every block commits on the slow path, and
+    PBFT keeps no durable state yet, so its replicas ignore theirs. *)
 
-type t = {
-  engine : Sbft_sim.Engine.t;
-  network : Sbft_sim.Network.t;
-  trace : Sbft_sim.Trace.t;
-  keys : Sbft_core.Keys.t;
-  config : Sbft_core.Config.t;
-  replicas : Pbft_replica.t array;
-  clients : Pbft_client.t array;
-  latency : Sbft_sim.Stats.Latency.t;
-  throughput : Sbft_sim.Stats.Throughput.t;
-}
+type t = (Pbft_types.msg, Pbft_replica.t, Pbft_client.t) Sbft_core.Cluster.deployment
 
-val create :
-  ?seed:int64 ->
-  ?trace:bool ->
-  ?cpu_scale:float ->
-  config:Sbft_core.Config.t ->
-  num_clients:int ->
-  topology:(num_nodes:int -> Sbft_sim.Topology.t) ->
-  service:Sbft_core.Cluster.service ->
-  unit ->
-  t
-(** [config.f] determines n = 3f + 1 (the [c] field is ignored). *)
-
-val start_clients :
-  t -> requests_per_client:int -> make_op:(client:int -> int -> string) -> unit
-
-val crash_replicas : t -> int list -> unit
-val run_for : t -> Sbft_sim.Engine.time -> unit
-val total_completed : t -> int
-val agreement_ok : t -> bool
+val pbft : (Pbft_types.msg, Pbft_replica.t, Pbft_client.t) Sbft_core.Cluster.protocol

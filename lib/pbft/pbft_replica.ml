@@ -62,7 +62,6 @@ let last_executed t = Runtime.last_executed t.rt
 let state_digest t = Sbft_store.Auth_store.digest t.rt.store
 let blocks_committed t = t.rt.n_committed
 let view_changes_completed t = t.rt.n_view_changes
-let retire t = Runtime.retire t.rt
 
 (* Adversary observation surface: the runtime's obs_* namespace, so the
    schedule fuzzer's attacker sees both systems through one lens. *)

@@ -40,8 +40,3 @@ val obs_frontier : t -> int
 
 val on_message : t -> Sbft_sim.Engine.ctx -> src:int -> Pbft_types.msg -> unit
 val start : t -> Sbft_sim.Engine.ctx -> unit
-
-val retire : t -> unit
-(** Permanently silence this replica's timers (batch and liveness):
-    armed callbacks still in flight become no-ops.  Used at cluster
-    teardown / crash so a dead incarnation cannot tick on. *)

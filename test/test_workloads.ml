@@ -101,9 +101,9 @@ let test_eth_cluster_end_to_end () =
 (* Harness *)
 
 let quick ?(protocol = Scenario.SBFT 0) ?(workload = Scenario.Kv { batching = true })
-    ?(failures = 0) () =
-  Scenario.default ~topology:`Lan ~warmup:(Engine.ms 200) ~duration:(Engine.sec 1)
-    ~failures ~protocol ~f:1 ~workload ~num_clients:4 ()
+    ?(failures = 0) ?(duration = Engine.sec 1) ?crash_primary_at () =
+  Scenario.default ~topology:`Lan ~warmup:(Engine.ms 200) ~duration ~failures
+    ?crash_primary_at ~protocol ~f:1 ~workload ~num_clients:4 ()
 
 let test_scenario_sbft () =
   let p = Scenario.run (quick ()) in
@@ -115,7 +115,17 @@ let test_scenario_sbft () =
 let test_scenario_pbft () =
   let p = Scenario.run (quick ~protocol:Scenario.PBFT ()) in
   check "throughput positive" true (p.Scenario.throughput_ops > 0.0);
-  check "agreement" true p.Scenario.agreement
+  check "agreement" true p.Scenario.agreement;
+  (* Primary fail-over: past the 2 s view-change timeout, so the run
+     must complete a view change; PBFT has no fast path. *)
+  let p =
+    Scenario.run
+      (quick ~protocol:Scenario.PBFT ~duration:(Engine.sec 5)
+         ~crash_primary_at:(Engine.ms 300) ())
+  in
+  check "fail-over agreement" true p.Scenario.agreement;
+  check "view changed" true (p.Scenario.view_changes >= 1);
+  check "no fast path" true (p.Scenario.fast_fraction = 0.)
 
 let test_scenario_failures_force_slow_path () =
   let p = Scenario.run (quick ~failures:1 ()) in

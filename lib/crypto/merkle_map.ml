@@ -1,27 +1,38 @@
-(* Nodes cache their Merkle hash; smart constructors keep it consistent.
-   A leaf stores the full key (not only its hash) so [fold] can recover
+(* A leaf stores the full key (not only its hash) so [fold] can recover
    bindings.  Leaves live at the shallowest depth where their key-hash
-   prefix is unique, like a compressed Patricia trie. *)
+   prefix is unique, like a compressed Patricia trie.
+
+   Node hashes are computed lazily: the smart constructors leave [h]
+   empty and [hash_of] fills it in on first demand.  A block's writes
+   then hash each dirty node once, when the root is asked for, instead
+   of re-hashing the whole root path on every [set].  The memo is a pure
+   function of the (immutable) node contents, so nodes shared between
+   map versions or replicas stay correct whichever version asks first. *)
 
 type node =
   | Empty
-  | Leaf of { khash : string; key : string; value : string; h : string }
-  | Branch of { left : node; right : node; h : string }
+  | Leaf of { khash : string; key : string; value : string; mutable h : string }
+  | Branch of { left : node; right : node; mutable h : string }
 
 type t = { node : node; cardinal : int }
 
 let empty_hash = Sha256.digest "sbft-merkle-map-empty"
 
-let hash_of = function
+let leaf_hash ~khash ~value = Sha256.digest_list [ "\x02"; khash; Sha256.digest value ]
+
+(* "" marks a hash not yet computed; a SHA-256 digest is never empty. *)
+let rec hash_of = function
   | Empty -> empty_hash
-  | Leaf l -> l.h
-  | Branch b -> b.h
+  | Leaf l ->
+      if String.length l.h = 0 then l.h <- leaf_hash ~khash:l.khash ~value:l.value;
+      l.h
+  | Branch b ->
+      if String.length b.h = 0 then
+        b.h <- Sha256.digest_list [ "\x03"; hash_of b.left; hash_of b.right ];
+      b.h
 
-let leaf ~khash ~key ~value =
-  Leaf { khash; key; value; h = Sha256.digest_list [ "\x02"; khash; Sha256.digest value ] }
-
-let branch left right =
-  Branch { left; right; h = Sha256.digest_list [ "\x03"; hash_of left; hash_of right ] }
+let leaf ~khash ~key ~value = Leaf { khash; key; value; h = "" }
+let branch left right = Branch { left; right; h = "" }
 
 let bit khash i =
   let byte = Char.code khash.[i lsr 3] in
@@ -131,7 +142,7 @@ let prove t key =
 
 let implied_root ~key ~value proof =
   let kh = khash_of_key key in
-  let leaf_h = Sha256.digest_list [ "\x02"; kh; Sha256.digest value ] in
+  let leaf_h = leaf_hash ~khash:kh ~value in
   List.fold_left
     (fun h (sib, side) ->
       match side with

@@ -14,6 +14,11 @@ type t
 val empty : t
 val cardinal : t -> int
 val root : t -> string
+(** The state digest.  Node hashes are computed on demand and memoized
+    in the nodes, so the first [root] after a batch of {!set}/{!remove}
+    hashes each node the batch touched exactly once; [set] and [remove]
+    themselves do no hashing beyond the key.  Asking for the root between
+    updates, or on older versions, gives the same values. *)
 
 val get : t -> string -> string option
 val set : t -> key:string -> value:string -> t

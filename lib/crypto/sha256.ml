@@ -1,9 +1,10 @@
 (* SHA-256 over native ints: all 32-bit words are kept in the low 32 bits
    of an OCaml int (63-bit), masked after every arithmetic step.
 
-   This function dominates host time at paper scale — request digests,
-   merkle-map updates and block digests hash ~500 bytes per simulated
-   event — so the compression loop is written for ocamlopt: rotations
+   This function dominates host time at paper scale — request and block
+   digests, per-block operation trees, and the Merkle-map nodes each
+   block dirties (hashed once per block, when its state root is taken) —
+   so the compression loop is written for ocamlopt: rotations
    are inlined by hand, array and byte accesses are unsafe (indices are
    statically in range), and [digest] / [digest_list] reuse one scratch
    context instead of allocating the schedule and buffer per call (the

@@ -17,9 +17,27 @@ type cache_value = {
   c_ops_root : string;
 }
 
-type cache = (int * string * string, cache_value) Hashtbl.t
+(* Keyed on the block's content, not on a digest of it: equality of the
+   op lists cannot collide (["x"] vs ["x"; ""] stay apart, see
+   test/corpus/weak-sigma-agreement.schedule), and replicas pass the
+   same physical op strings, so [String.equal] returns on the pointer
+   check without reading the bytes. *)
+module Key = struct
+  type t = { seq : int; pre_root : string; ops : string list }
 
-let new_cache () : cache = Hashtbl.create 1024
+  let equal a b =
+    Int.equal a.seq b.seq
+    && String.equal a.pre_root b.pre_root
+    && List.equal String.equal a.ops b.ops
+
+  let hash k = Hashtbl.hash (k.seq, k.pre_root, List.length k.ops)
+end
+
+module Cache = Hashtbl.Make (Key)
+
+type cache = cache_value Cache.t
+
+let new_cache () : cache = Cache.create 1024
 
 type t = {
   apply : apply;
@@ -74,7 +92,10 @@ let bootstrap t ~ops =
     (fun op ->
       let map', _ = t.apply t.map op in
       t.map <- map')
-    ops
+    ops;
+  (* Hash the genesis state now, as set-up work, rather than in the
+     first block's execution. *)
+  ignore (Merkle_map.root t.map)
 
 (* Leaf committed into the per-block operation tree: binds the position,
    the operation and its output. *)
@@ -109,18 +130,6 @@ let execute_uncached t ~seq ~ops =
   t.last_ops_root <- ops_root;
   record
 
-(* Length-prefixed: plain concatenation would let ["x"] and ["x"; ""]
-   collide, and duplicate requests degraded to no-ops ("") make such
-   pairs reachable — a collision hands back a cached outputs array of
-   the wrong length.  Found by the schedule fuzzer (see
-   test/corpus/weak-sigma-agreement.schedule). *)
-let ops_digest ops =
-  let w = Codec.Writer.create () in
-  Codec.Writer.str w "sbft-ops";
-  Codec.Writer.u32 w (List.length ops);
-  List.iter (fun op -> Codec.Writer.str w op) ops;
-  Sha256.digest (Codec.Writer.contents w)
-
 let execute_block t ~seq ~ops =
   if seq <> t.last_executed + 1 then
     invalid_arg
@@ -129,8 +138,8 @@ let execute_block t ~seq ~ops =
   match t.cache with
   | None -> Array.to_list (execute_uncached t ~seq ~ops).outputs
   | Some cache -> (
-      let key = (seq, Merkle_map.root t.map, ops_digest ops) in
-      match Hashtbl.find_opt cache key with
+      let key = { Key.seq; pre_root = Merkle_map.root t.map; ops } in
+      match Cache.find_opt cache key with
       | Some v ->
           t.map <- v.c_map;
           Hashtbl.replace t.blocks seq v.c_record;
@@ -139,7 +148,7 @@ let execute_block t ~seq ~ops =
           Array.to_list v.c_record.outputs
       | None ->
           let record = execute_uncached t ~seq ~ops in
-          Hashtbl.replace cache key
+          Cache.replace cache key
             { c_map = t.map; c_record = record; c_ops_root = t.last_ops_root };
           Array.to_list record.outputs)
 

@@ -29,13 +29,16 @@ val create : apply:apply -> unit -> t
 
     In a simulated deployment every honest replica executes the same
     deterministic block sequence.  A cluster-wide cache memoizes
-    [execute_block] results keyed by (sequence, pre-state root,
-    operations digest), so the host computes each block once and all
-    replicas share the resulting persistent state structurally.  This is
-    a pure simulation optimization: per-replica {e virtual} CPU time is
-    still charged by the protocol layer, and a replica whose state
-    diverges (different pre-state root) misses the cache and executes
-    for real. *)
+    [execute_block] results keyed by the block's content — (sequence,
+    pre-state root, operations) — so the host computes each block once
+    and all replicas share the resulting persistent state structurally.
+    Operations are compared by value, so two different blocks can never
+    share an entry; replicas hand over physically shared op strings, so
+    the comparison costs a pointer check per op, not a pass over the
+    block's bytes.  This is a pure simulation optimization: per-replica
+    {e virtual} CPU time is still charged by the protocol layer, and a
+    replica whose state diverges (different pre-state root) misses the
+    cache and executes for real. *)
 
 type cache
 

@@ -586,6 +586,28 @@ let test_merkle_map_fold () =
   Alcotest.(check int) "three bindings" 3 (List.length bindings);
   check "contains b" true (List.mem ("b", "2") bindings)
 
+(* Known answer: the root of this map as computed when every node was
+   hashed eagerly at construction.  Lazy node hashing must reproduce it
+   bit for bit. *)
+let test_merkle_map_known_root () =
+  let m = ref Merkle_map.empty in
+  for i = 0 to 999 do
+    m :=
+      Merkle_map.set !m ~key:(Printf.sprintf "key-%d" i)
+        ~value:(Printf.sprintf "value-%d" (i * 7))
+  done;
+  (* Prove before the root was ever asked for: the proof must force the
+     sibling hashes it needs and still verify against the later root. *)
+  let proof = Option.get (Merkle_map.prove !m "key-500") in
+  let root = Merkle_map.root !m in
+  check_str "root"
+    "2ddb59d1f75ea0c94c532fe85ae103965daeafe0dc4ba2d64556d602d3657d49"
+    (Sha256.hex root);
+  check "proof from unrooted map verifies" true
+    (Merkle_map.verify ~root ~key:"key-500" ~value:"value-3500" proof);
+  check "wrong value rejected" false
+    (Merkle_map.verify ~root ~key:"key-500" ~value:"value-3501" proof)
+
 let merkle_map_props =
   [
     qtest "insertion order does not change root"
@@ -608,25 +630,42 @@ let merkle_map_props =
       QCheck2.Gen.(int_range 0 500)
       (fun seed ->
         let r = Sbft_sim.Rng.create (Int64.of_int (seed * 31)) in
-        let m = ref Merkle_map.empty in
+        (* [m] is never rooted until the end; [eager] applies the same
+           updates but is rooted after each one.  [versions] keeps every
+           intermediate version of both with the root [eager] had then. *)
+        let m = ref Merkle_map.empty and eager = ref Merkle_map.empty in
+        let versions = ref [] in
         let reference = Hashtbl.create 16 in
         for _ = 1 to 40 do
           let k = Printf.sprintf "k%d" (Sbft_sim.Rng.int r 12) in
           if Sbft_sim.Rng.bool r 0.3 then begin
             m := Merkle_map.remove !m k;
+            eager := Merkle_map.remove !eager k;
             Hashtbl.remove reference k
           end
           else begin
             let v = Printf.sprintf "v%d" (Sbft_sim.Rng.int r 100) in
             m := Merkle_map.set !m ~key:k ~value:v;
+            eager := Merkle_map.set !eager ~key:k ~value:v;
             Hashtbl.replace reference k v
-          end
+          end;
+          versions := (!m, !eager, Merkle_map.root !eager) :: !versions
         done;
         let fresh =
           Hashtbl.fold (fun k v acc -> Merkle_map.set acc ~key:k ~value:v) reference
             Merkle_map.empty
         in
-        String.equal (Merkle_map.root fresh) (Merkle_map.root !m)
+        let final_root = Merkle_map.root !m in
+        String.equal (Merkle_map.root fresh) final_root
+        && String.equal (Merkle_map.root !eager) final_root
+        (* Every older version is rooted again only now, after newer
+           versions sharing its untouched nodes were derived and rooted;
+           the unrooted ones for the first time. *)
+        && List.for_all
+             (fun (lazy_v, eager_v, root) ->
+               String.equal (Merkle_map.root lazy_v) root
+               && String.equal (Merkle_map.root eager_v) root)
+             !versions
         && Merkle_map.cardinal !m = Hashtbl.length reference);
   ]
 
@@ -717,6 +756,7 @@ let () =
           Alcotest.test_case "proofs" `Quick test_merkle_map_proofs;
           Alcotest.test_case "remove" `Quick test_merkle_map_remove;
           Alcotest.test_case "fold" `Quick test_merkle_map_fold;
+          Alcotest.test_case "known root" `Quick test_merkle_map_known_root;
         ]
         @ merkle_map_props );
       ("cost_model", [ Alcotest.test_case "monotone" `Quick test_cost_model_monotone ]);

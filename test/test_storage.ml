@@ -320,6 +320,85 @@ let test_shared_exec_cache () =
   check "still different" false
     (String.equal (Auth_store.digest rogue) (Auth_store.digest a))
 
+(* A KV store whose [apply] counts its calls. *)
+let counting_store () =
+  let calls = ref 0 in
+  let apply map op =
+    incr calls;
+    Kv_service.apply map op
+  in
+  (calls, fun () -> Auth_store.create ~apply ())
+
+let test_exec_cache_keys_on_content () =
+  let calls, make = counting_store () in
+  let cache = Auth_store.new_cache () in
+  let a = make () and b = make () and c = make () and d = make () in
+  List.iter (fun st -> Auth_store.set_cache st cache) [ a; b; c; d ];
+  (* Equal content from distinct string copies is one cache entry. *)
+  let ops = [ Kv_service.put ~key:"k" ~value:"v"; Kv_service.get ~key:"k" ] in
+  let copies = List.map (fun op -> Bytes.to_string (Bytes.of_string op)) ops in
+  let oa = Auth_store.execute_block a ~seq:1 ~ops in
+  let ob = Auth_store.execute_block b ~seq:1 ~ops:copies in
+  check_int "apply ran once per op" 2 !calls;
+  check "same outputs" true (oa = ob);
+  check_str "same digest" (Sbft_crypto.Sha256.hex (Auth_store.digest a))
+    (Sbft_crypto.Sha256.hex (Auth_store.digest b));
+  (* ["x"] and ["x"; ""] share seq and pre-state, and a digest of their
+     plain concatenation would collide; content keys keep them apart. *)
+  let ox = Auth_store.execute_block a ~seq:2 ~ops:[ "x" ] in
+  let oxe = Auth_store.execute_block b ~seq:2 ~ops:[ "x"; "" ] in
+  check_int "one output" 1 (List.length ox);
+  check_int "two outputs" 2 (List.length oxe);
+  check_int "both executed" 5 !calls;
+  (* Same seq, pre-state and length, different content: a miss. *)
+  let oc =
+    Auth_store.execute_block c ~seq:1
+      ~ops:[ Kv_service.put ~key:"k" ~value:"w"; Kv_service.get ~key:"k" ]
+  in
+  check_int "divergent block executed" 7 !calls;
+  check "divergent outputs" true (oc = [ "ok"; "w" ]);
+  (* A different pre-state misses even for identical ops. *)
+  ignore (Auth_store.execute_block c ~seq:2 ~ops:[ "x" ]);
+  check_int "divergent pre-state missed" 8 !calls;
+  (* The same pre-state and ops hit again, whichever store asks. *)
+  ignore (Auth_store.execute_block d ~seq:1 ~ops);
+  ignore (Auth_store.execute_block d ~seq:2 ~ops:[ "x"; "" ]);
+  check_int "hits add no calls" 8 !calls;
+  check_str "hit reproduces digest" (Sbft_crypto.Sha256.hex (Auth_store.digest b))
+    (Sbft_crypto.Sha256.hex (Auth_store.digest d))
+
+let test_exec_cache_once_per_cluster () =
+  (* Four replicas share the deployment's cache, so the cluster runs
+     [apply] exactly once per committed op. *)
+  let open Sbft_core in
+  let calls, make_store = counting_store () in
+  let service = { Cluster.kv_service with make_store } in
+  let cluster =
+    Cluster.create ~config:(Config.sbft ~f:1 ~c:0) ~num_clients:2
+      ~topology:(fun ~num_nodes -> Sbft_sim.Topology.lan ~num_nodes)
+      ~service ()
+  in
+  Cluster.start_clients cluster ~requests_per_client:20 ~make_op:(fun ~client i ->
+      Kv_service.put ~key:(Printf.sprintf "k%d-%d" client i) ~value:(string_of_int i));
+  Cluster.run_for cluster (Sbft_sim.Engine.sec 60);
+  check_int "all requests completed" 40 (Cluster.total_completed cluster);
+  check "agreement" true (Cluster.agreement_ok cluster);
+  let replicas = Array.to_list cluster.Cluster.replicas in
+  let last = Replica.last_executed (List.hd replicas) in
+  check "every replica executed every block" true
+    (List.for_all (fun r -> Replica.last_executed r = last) replicas);
+  let committed_ops =
+    List.fold_left
+      (fun acc seq ->
+        match Replica.committed_block (List.hd replicas) seq with
+        | Some reqs -> acc + List.length reqs
+        | None -> Alcotest.failf "block %d not retained" seq)
+      0
+      (List.init last (fun i -> i + 1))
+  in
+  check "some blocks committed" true (committed_ops >= 40);
+  check_int "apply calls = one replica's committed ops" committed_ops !calls
+
 let test_clone_independent () =
   let a = fresh () in
   ignore (Auth_store.execute_block a ~seq:1 ~ops:[ Kv_service.put ~key:"x" ~value:"1" ]);
@@ -590,6 +669,10 @@ let () =
           Alcotest.test_case "snapshot" `Quick test_auth_store_snapshot;
           Alcotest.test_case "snapshot checked" `Quick test_auth_store_snapshot_checked;
           Alcotest.test_case "shared exec cache" `Quick test_shared_exec_cache;
+          Alcotest.test_case "exec cache keys on content" `Quick
+            test_exec_cache_keys_on_content;
+          Alcotest.test_case "exec cache once per cluster" `Quick
+            test_exec_cache_once_per_cluster;
           Alcotest.test_case "clone" `Quick test_clone_independent;
           Alcotest.test_case "bootstrap" `Quick test_bootstrap;
         ]

@@ -432,6 +432,7 @@ let priced =
     (("Pki", "verify"), "rsa_verify");
     (("Keys", "verify_request"), "rsa_verify");
     (("View_change", "validate_message"), "verify");
+    (("View_change", "verify_cert"), "verify");
     (("Auth_store", "verify_op_proof"), "merkle");
     (("Auth_store", "verify_query_proof"), "merkle");
   ]

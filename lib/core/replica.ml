@@ -87,8 +87,8 @@ type slot = {
   mutable executed : bool;
   (* pending proofs waiting for the block content *)
   mutable pp_at : Engine.time; (* when the pre-prepare was accepted *)
-  mutable pending_fast : (int * Field.t) option; (* view, σ *)
-  mutable pending_slow : (int * Field.t * Field.t) option; (* view, τ, ττ *)
+  mutable pending_fast : (int * Types.block_cert) option; (* view, σ *)
+  mutable pending_slow : (int * Types.block_cert) option; (* view, τ and ττ *)
   (* execution collector state: shares bucketed by claimed digest so a
      Byzantine replica announcing a bogus digest first cannot block the
      honest bucket from reaching its threshold *)
@@ -323,8 +323,8 @@ let wal_ops reqs =
 (* ------------------------------------------------------------------ *)
 (* Collector-side share combination (§IV linearity).
 
-   [combine_shares] is the single entry point every collector site
-   (σ/τ/ττ/π) goes through.  With [Config.optimistic_combine] it runs
+   [combine_shares], through [combine], is the single entry point every
+   collector site (σ/τ/ττ/π) goes through.  With [Config.optimistic_combine] it runs
    the combine-then-verify fast path: interpolate the k shares without
    any per-share check, verify the one combined signature, and only on
    failure fall back to robust per-share identification
@@ -367,14 +367,50 @@ let combine_shares t ctx ~scheme ~k ~group ~msg shares =
     (Threshold.combine scheme ~msg shares, [])
   end
 
-(* Drop shares from the signers [combine_shares] identified as bad. *)
-let evict_bad bad stash =
-  match bad with
-  | [] -> stash
-  | _ ->
-      List.filter
-        (fun (_, sh) -> not (List.exists (Int.equal sh.Threshold.signer) bad))
-        stash
+(* Share intake, the same for σ, τ, ττ and π.  A stash is keyed by the
+   authenticated sender, and a share counts only if it carries the
+   sender's own signer index (replica r signs as r + 1): a Byzantine
+   replica can neither count twice nor take another replica's place.
+   Returns whether the share is new. *)
+let intake t st ~src (share : Threshold.share) =
+  let fresh =
+    Int.equal share.Threshold.signer (src + 1)
+    && src < num_replicas t
+    && not (stash_mem st src)
+  in
+  if fresh then stash_add st src share;
+  fresh
+
+(* Combine a stash and evict the signers the combine identified as bad,
+   so the next attempt combines a clean set. *)
+let combine t ctx st ~scheme ~k ~group ~msg =
+  let signature, bad =
+    combine_shares t ctx ~scheme ~k ~group ~msg (List.map snd st.items)
+  in
+  if bad <> [] then
+    stash_set st
+      (List.filter
+         (fun (_, sh) -> not (List.exists (Int.equal sh.Threshold.signer) bad))
+         st.items);
+  signature
+
+(* The wire form of a commit certificate in the persisted ledger. *)
+let cert_to_store = function
+  | Types.Cert_fast sigma -> Sbft_store.Block_store.Fast (Threshold.signature_bytes sigma)
+  | Types.Cert_slow (tau, tau_tau) ->
+      Sbft_store.Block_store.Slow
+        { tau = Threshold.signature_bytes tau; tau_tau = Threshold.signature_bytes tau_tau }
+
+let cert_of_store = function
+  | Sbft_store.Block_store.Fast sigma -> Types.Cert_fast (Field.of_bytes sigma)
+  | Sbft_store.Block_store.Slow { tau; tau_tau } ->
+      Types.Cert_slow (Field.of_bytes tau, Field.of_bytes tau_tau)
+
+(* How a block came to be signed: from the primary's pre-prepare (the
+   only place a [Corrupt_shares] replica corrupts its shares), adopted
+   from a new view, or re-signed on recovery from a pre-prepare the WAL
+   already holds. *)
+type signing = From_primary | From_new_view | From_wal
 
 (* ------------------------------------------------------------------ *)
 (* Forward declarations via mutual recursion: the handler graph is
@@ -389,15 +425,15 @@ let rec on_message t ctx ~src msg =
       match msg with
       | Types.Request r -> on_request t ctx r
       | Types.Pre_prepare { seq; view; reqs } -> on_pre_prepare t ctx ~seq ~view ~reqs
-      | Types.Sign_share { seq; view; sigma_share; tau_share; replica } ->
-          on_sign_share t ctx ~seq ~view ~sigma_share ~tau_share ~replica
+      | Types.Sign_share { seq; view; sigma_share; tau_share; replica = _ } ->
+          on_sign_share t ctx ~src ~seq ~view ~sigma_share ~tau_share
       | Types.Full_commit_proof { seq; view; sigma } ->
           on_full_commit_proof t ctx ~seq ~view ~sigma
       | Types.Prepare { seq; view; tau } -> on_prepare t ctx ~seq ~view ~tau
-      | Types.Commit { seq; view; share } -> on_commit t ctx ~seq ~view ~share
+      | Types.Commit { seq; view; share } -> on_commit t ctx ~src ~seq ~view ~share
       | Types.Full_commit_proof_slow { seq; view; tau; tau_tau } ->
           on_full_commit_proof_slow t ctx ~seq ~view ~tau ~tau_tau
-      | Types.Sign_state { seq; digest; share } -> on_sign_state t ctx ~seq ~digest ~share
+      | Types.Sign_state { seq; digest; share } -> on_sign_state t ctx ~src ~seq ~digest ~share
       | Types.Full_execute_proof { seq; digest; pi } ->
           on_full_execute_proof t ctx ~seq ~digest ~pi ~src
       | Types.Execute_ack _ | Types.Reply _ -> () (* client-only messages *)
@@ -421,8 +457,8 @@ and try_propose t ctx = Runtime.try_propose t.rt ctx ~propose:(propose_block t)
 
 and propose_block t ctx ~seq reqs =
   Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-  Runtime.trace t.rt ctx "send:pre-prepare"
-    (Printf.sprintf "seq=%d view=%d batch=%d" seq t.rt.view (List.length reqs));
+  Runtime.trace t.rt ctx "send:pre-prepare" "seq=%d view=%d batch=%d" seq t.rt.view
+    (List.length reqs);
   (match t.byz with
   | Equivocating_primary ->
       (* Send block A to the first half and block B to the second; pad
@@ -454,49 +490,57 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
     Engine.charge ctx (Cost_model.Tally.note "rsa_verify" (List.length real_reqs * Cost_model.rsa_verify));
     if List.for_all (fun r -> Keys.verify_request (keys t) r) real_reqs then begin
       Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-      let h = Types.block_hash ~seq ~view ~reqs in
-      sl.pp <- Some (view, reqs, h);
       sl.pp_at <- Engine.ctx_now ctx;
       List.iter (Runtime.mark_outstanding t.rt) real_reqs;
-      if not sl.sent_sign_share then begin
-        sl.sent_sign_share <- true;
-        Engine.charge ctx (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
-        let sigma_share = Threshold.share_sign t.my.Keys.sigma_sk ~msg:h in
-        let tau_share = Threshold.share_sign t.my.Keys.tau_sk ~msg:h in
-        let sigma_share, tau_share =
-          match t.byz with
-          | Corrupt_shares ->
-              ( Threshold.forge_invalid_share ~signer:(t.rt.id + 1),
-                Threshold.forge_invalid_share ~signer:(t.rt.id + 1) )
-          | _ -> (sigma_share, tau_share)
-        in
-        sl.highest_preprepare <- Some (view, sigma_share, reqs);
-        (* The sign share is a promise: persist the accepted block
-           before the network can observe it. *)
-        wal_log t ctx
-          (Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops = wal_ops reqs });
-        wal_sync t ctx;
-        List.iter
-          (fun c ->
-            Runtime.send t.rt ctx ~dst:c
-              (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.rt.id }))
-          (Collectors.slow_path_collectors ~memo:t.rt.env.collectors ~config ~view ~seq)
-      end;
+      sign_block t ctx sl ~view ~reqs ~signing:From_primary;
       (* A commit proof may have arrived before the block. *)
       try_pending_proofs t ctx sl
     end
   end
   else if seq > t.rt.ls + config.Config.win then maybe_state_transfer t ctx seq
 
-and on_sign_share t ctx ~seq ~view ~sigma_share ~tau_share ~replica =
+(* Accept [reqs] as the slot's block in [view] and, once per view, sign
+   it: σ and τ shares go to the slow-path collectors, and the signed
+   pre-prepare is what this replica reports in a view change. *)
+and sign_block t ctx sl ~view ~reqs ~signing =
+  let config = cfg t in
+  let seq = sl.seq in
+  let h = Types.block_hash ~seq ~view ~reqs in
+  sl.pp <- Some (view, reqs, h);
+  if not sl.sent_sign_share then begin
+    sl.sent_sign_share <- true;
+    Engine.charge ctx (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
+    let sigma_share, tau_share =
+      match (signing, t.byz) with
+      | From_primary, Corrupt_shares ->
+          ( Threshold.forge_invalid_share ~signer:(t.rt.id + 1),
+            Threshold.forge_invalid_share ~signer:(t.rt.id + 1) )
+      | _ ->
+          ( Threshold.share_sign t.my.Keys.sigma_sk ~msg:h,
+            Threshold.share_sign t.my.Keys.tau_sk ~msg:h )
+    in
+    sl.highest_preprepare <- Some (view, sigma_share, reqs);
+    (* The sign share is a promise: persist the accepted block before
+       the network can observe it.  A WAL replay re-sends a promise the
+       log already holds, so it appends nothing and the sync is a no-op. *)
+    if signing <> From_wal then
+      wal_log t ctx
+        (Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops = wal_ops reqs });
+    wal_sync t ctx;
+    List.iter
+      (fun c ->
+        Runtime.send t.rt ctx ~dst:c
+          (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.rt.id }))
+      (Collectors.slow_path_collectors ~memo:t.rt.env.collectors ~config ~view ~seq)
+  end
+
+and on_sign_share t ctx ~src ~seq ~view ~sigma_share ~tau_share =
   let config = cfg t in
   if Int.equal view t.rt.view && seq > t.rt.ls && seq <= t.rt.ls + config.Config.win then begin
     let sl = Runtime.slot t.rt seq in
-    if not (stash_mem sl.sigma_shares replica) then begin
-      stash_add sl.sigma_shares replica sigma_share;
-      stash_add sl.tau_shares replica tau_share;
-      collector_check t ctx sl ~view
-    end
+    let new_sigma = intake t sl.sigma_shares ~src sigma_share in
+    let new_tau = intake t sl.tau_shares ~src tau_share in
+    if new_sigma || new_tau then collector_check t ctx sl ~view
   end
 
 and collector_check t ctx sl ~view =
@@ -525,16 +569,13 @@ and collector_check t ctx sl ~view =
               then begin
                 Sanitizer.check_quorum t.rt.san Sanitizer.Sigma
                   ~count:sl.sigma_shares.count;
-                let k = Config.sigma_threshold config in
                 let group = config.Config.use_group_sig && not t.failures_observed in
-                let sigma_opt, bad =
-                  combine_shares t ctx ~scheme:(keys t).Keys.sigma ~k ~group ~msg:h
-                    (List.map snd sl.sigma_shares.items)
-                in
-                stash_set sl.sigma_shares (evict_bad bad sl.sigma_shares.items);
-                match sigma_opt with
+                match
+                  combine t ctx sl.sigma_shares ~scheme:(keys t).Keys.sigma
+                    ~k:(Config.sigma_threshold config) ~group ~msg:h
+                with
                 | Some sigma ->
-                    Runtime.trace t.rt ctx "send:full-commit-proof" (Printf.sprintf "seq=%d" seq);
+                    Runtime.trace t.rt ctx "send:full-commit-proof" "seq=%d" seq;
                     Runtime.broadcast t.rt ctx
                       (Types.Full_commit_proof { seq; view; sigma })
                 | None ->
@@ -584,16 +625,12 @@ and collector_check t ctx sl ~view =
                 if config.Config.fast_path then t.failures_observed <- true;
                 Sanitizer.check_quorum t.rt.san Sanitizer.Tau
                   ~count:sl.tau_shares.count;
-                let k = Config.tau_threshold config in
-                let tau_opt, bad =
-                  combine_shares t ctx ~scheme:(keys t).Keys.tau ~k ~group:false
-                    ~msg:h
-                    (List.map snd sl.tau_shares.items)
-                in
-                stash_set sl.tau_shares (evict_bad bad sl.tau_shares.items);
-                match tau_opt with
+                match
+                  combine t ctx sl.tau_shares ~scheme:(keys t).Keys.tau
+                    ~k:(Config.tau_threshold config) ~group:false ~msg:h
+                with
                 | Some tau ->
-                    Runtime.trace t.rt ctx "send:prepare" (Printf.sprintf "seq=%d" seq);
+                    Runtime.trace t.rt ctx "send:prepare" "seq=%d" seq;
                     Runtime.broadcast t.rt ctx (Types.Prepare { seq; view; tau })
                 | None -> sl.prepare_sent <- false
               end
@@ -604,21 +641,7 @@ and collector_check t ctx sl ~view =
       end)
 
 and on_full_commit_proof t ctx ~seq ~view ~sigma =
-  let sl = Runtime.slot t.rt seq in
-  if sl.committed = None then begin
-    match sl.pp with
-    | Some (v, reqs, h) when Int.equal v view ->
-        Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-        if Threshold.verify (keys t).Keys.sigma ~msg:h sigma then begin
-          sl.fast_cert <- Some (sigma, view, reqs);
-          commit t ctx sl ~reqs ~view ~fast:true
-            ~cert:(Sbft_store.Block_store.Fast (Threshold.signature_bytes sigma))
-        end
-    | _ ->
-        (* Proof before block: stash it and fetch the block. *)
-        sl.pending_fast <- Some (view, sigma);
-        request_block t ctx seq
-  end
+  commit_proof t ctx ~seq ~view (Types.Cert_fast sigma)
 
 (* ------------------------------------------------------------------ *)
 (* Linear-PBFT path: prepare -> commit -> full-commit-proof-slow *)
@@ -655,79 +678,92 @@ and on_prepare t ctx ~seq ~view ~tau =
     end
   end
 
-and on_commit t ctx ~seq ~view ~share =
+and on_commit t ctx ~src ~seq ~view ~share =
   let config = cfg t in
   if Int.equal view t.rt.view && seq > t.rt.ls && seq <= t.rt.ls + config.Config.win then begin
     let sl = Runtime.slot t.rt seq in
     if
-      (not (stash_mem sl.commit_shares share.Threshold.signer))
-      && not sl.slow_sent
-    then begin
-      stash_add sl.commit_shares share.Threshold.signer share;
-      if sl.commit_shares.count >= Config.tau_threshold config then begin
-        match sl.prepare_tau with
-        | Some tau when not sl.slow_sent ->
-            sl.slow_sent <- true;
-            Sanitizer.check_quorum t.rt.san Sanitizer.Tau
-              ~count:sl.commit_shares.count;
-            let k = Config.tau_threshold config in
-            let tau_tau_opt, bad =
-              combine_shares t ctx ~scheme:(keys t).Keys.tau ~k ~group:false
-                ~msg:(Types.tau2_message tau)
-                (List.map snd sl.commit_shares.items)
-            in
-            stash_set sl.commit_shares (evict_bad bad sl.commit_shares.items);
-            (match tau_tau_opt with
-            | Some tau_tau ->
-                Runtime.trace t.rt ctx "send:full-commit-proof-slow" (Printf.sprintf "seq=%d" seq);
-                Runtime.broadcast t.rt ctx
-                  (Types.Full_commit_proof_slow { seq; view; tau; tau_tau })
-            | None -> sl.slow_sent <- false)
-        | _ -> ()
-      end
-    end
+      (not sl.slow_sent)
+      && intake t sl.commit_shares ~src share
+      && sl.commit_shares.count >= Config.tau_threshold config
+    then
+      match sl.prepare_tau with
+      | Some tau ->
+          sl.slow_sent <- true;
+          Sanitizer.check_quorum t.rt.san Sanitizer.Tau ~count:sl.commit_shares.count;
+          (match
+             combine t ctx sl.commit_shares ~scheme:(keys t).Keys.tau
+               ~k:(Config.tau_threshold config) ~group:false ~msg:(Types.tau2_message tau)
+           with
+          | Some tau_tau ->
+              Runtime.trace t.rt ctx "send:full-commit-proof-slow" "seq=%d" seq;
+              Runtime.broadcast t.rt ctx
+                (Types.Full_commit_proof_slow { seq; view; tau; tau_tau })
+          | None -> sl.slow_sent <- false)
+      | None -> ()
   end
 
 and on_full_commit_proof_slow t ctx ~seq ~view ~tau ~tau_tau =
+  commit_proof t ctx ~seq ~view (Types.Cert_slow (tau, tau_tau))
+
+(* ------------------------------------------------------------------ *)
+(* Commit certificates.  A σ (fast) or τ/ττ (slow) certificate reaches a
+   replica as a full commit proof, with a state-transferred block, or in
+   a new-view decision; each one is checked by [View_change.verify_cert]
+   (new-view decisions already were, inside [View_change.compute]) and
+   committed through [commit]. *)
+
+(* A full commit proof for [seq] in [view]: verified against the
+   accepted block, or stashed until the block arrives. *)
+and commit_proof t ctx ~seq ~view cert =
   let sl = Runtime.slot t.rt seq in
-  if sl.committed = None then begin
+  if sl.committed = None then
     match sl.pp with
     | Some (v, reqs, h) when Int.equal v view ->
-        Engine.charge ctx (Cost_model.Tally.note "proof_verify" (2 * Cost_model.bls_verify));
-        if
-          Threshold.verify (keys t).Keys.tau ~msg:h tau
-          && Threshold.verify (keys t).Keys.tau ~msg:(Types.tau2_message tau) tau_tau
-        then begin
-          sl.slow_cert <- Some (tau, tau_tau, view, reqs);
-          commit t ctx sl ~reqs ~view ~fast:false
-            ~cert:
-              (Sbft_store.Block_store.Slow
-                 {
-                   tau = Threshold.signature_bytes tau;
-                   tau_tau = Threshold.signature_bytes tau_tau;
-                 })
-        end
+        ignore (commit_verified t ctx sl ~view ~reqs ~h cert)
     | _ ->
-        sl.pending_slow <- Some (view, tau, tau_tau);
+        (* Proof before block: stash it and fetch the block. *)
+        (match cert with
+        | Types.Cert_fast _ -> sl.pending_fast <- Some (view, cert)
+        | Types.Cert_slow _ -> sl.pending_slow <- Some (view, cert));
         request_block t ctx seq
-  end
 
 and try_pending_proofs t ctx sl =
   (match sl.pending_fast with
-  | Some (view, sigma) when sl.committed = None ->
+  | Some (view, cert) when sl.committed = None ->
       sl.pending_fast <- None;
-      on_full_commit_proof t ctx ~seq:sl.seq ~view ~sigma
+      commit_proof t ctx ~seq:sl.seq ~view cert
   | _ -> ());
   match sl.pending_slow with
-  | Some (view, tau, tau_tau) when sl.committed = None ->
+  | Some (view, cert) when sl.committed = None ->
       sl.pending_slow <- None;
-      on_full_commit_proof_slow t ctx ~seq:sl.seq ~view ~tau ~tau_tau
+      commit_proof t ctx ~seq:sl.seq ~view cert
   | _ -> ()
+
+(* Verify [cert] for the block with hash [h] and commit it; false when
+   the certificate does not verify. *)
+and commit_verified t ctx sl ~view ~reqs ~h cert =
+  let checks = match cert with Types.Cert_fast _ -> 1 | Types.Cert_slow _ -> 2 in
+  Engine.charge ctx (Cost_model.Tally.note "proof_verify" (checks * Cost_model.bls_verify));
+  let ok = View_change.verify_cert (keys t) ~h cert in
+  if ok then commit t ctx sl ~view ~reqs cert;
+  ok
 
 (* ------------------------------------------------------------------ *)
 (* Commit and in-order execution *)
 
-and commit t ctx sl ~reqs ~view ~fast ~cert =
+(* Commit the slot's block under [cert], which is also kept for this
+   replica's view-change report. *)
+and commit t ctx sl ~view ~reqs cert =
+  let fast =
+    match cert with
+    | Types.Cert_fast sigma ->
+        sl.fast_cert <- Some (sigma, view, reqs);
+        true
+    | Types.Cert_slow (tau, tau_tau) ->
+        sl.slow_cert <- Some (tau, tau_tau, view, reqs);
+        false
+  in
   if sl.committed = None then begin
     Sanitizer.record_commit t.rt.san ~seq:sl.seq ~view
       ~digest:(Types.block_hash ~seq:sl.seq ~view ~reqs);
@@ -746,8 +782,8 @@ and commit t ctx sl ~reqs ~view ~fast ~cert =
            (float_of_int (cfg t).Config.fast_path_timeout)
            (t.fast_eta *. 1.25));
     Runtime.note_progress t.rt ctx;
-    Runtime.trace t.rt ctx "commit"
-      (Printf.sprintf "seq=%d view=%d path=%s" sl.seq view (if fast then "fast" else "slow"));
+    Runtime.trace t.rt ctx "commit" "seq=%d view=%d path=%s" sl.seq view
+      (if fast then "fast" else "slow");
     let entry =
       {
         Sbft_store.Block_store.seq = sl.seq;
@@ -757,7 +793,7 @@ and commit t ctx sl ~reqs ~view ~fast ~cert =
             (fun (r : Types.request) ->
               { Sbft_store.Block_store.client = r.client; timestamp = r.timestamp; op = r.op })
             reqs;
-        cert;
+        cert = cert_to_store cert;
       }
     in
     Engine.charge ctx (Cost_model.Tally.note "persist" (Cost_model.persist_block (Sbft_store.Block_store.entry_size entry)));
@@ -839,7 +875,7 @@ and try_execute t ctx =
 (* ------------------------------------------------------------------ *)
 (* Execution collection: sign-state -> full-execute-proof -> execute-ack *)
 
-and on_sign_state t ctx ~seq ~digest ~share =
+and on_sign_state t ctx ~src ~seq ~digest ~share =
   let config = cfg t in
   let sl = Runtime.slot t.rt seq in
   if not sl.exec_proof_sent then begin
@@ -851,41 +887,34 @@ and on_sign_state t ctx ~seq ~digest ~share =
           Hashtbl.replace sl.pi_shares digest b;
           b
     in
-    if not (stash_mem bucket share.Threshold.signer) then begin
-      stash_add bucket share.Threshold.signer share;
-      if bucket.count >= Config.pi_threshold config then begin
-        let e_list =
-          Collectors.e_collectors ~memo:t.rt.env.collectors ~config ~view:0 ~seq @ [ primary_of t t.rt.view ]
-        in
-        let rank = Option.value (Collectors.rank e_list t.rt.id) ~default:0 in
-        let act ctx =
-          if (not sl.exec_proof_sent) && not (Hashtbl.mem t.checkpoint_pis seq) then begin
-            Sanitizer.check_quorum t.rt.san Sanitizer.Pi ~count:bucket.count;
-            let k = Config.pi_threshold config in
-            let pi_opt, bad =
-              combine_shares t ctx ~scheme:(keys t).Keys.pi ~k ~group:false
-                ~msg:(Types.pi_message ~seq ~digest)
-                (List.map snd bucket.items)
-            in
-            stash_set bucket (evict_bad bad bucket.items);
-            match pi_opt with
-            | Some pi ->
-                sl.exec_proof_sent <- true;
-                Hashtbl.replace t.checkpoint_pis seq (pi, digest);
-                wal_log t ctx
-                  (Sbft_store.Wal.Stable_checkpoint
-                     { seq; digest; pi = Threshold.signature_bytes pi });
-                wal_sync t ctx;
-                Runtime.trace t.rt ctx "send:full-execute-proof" (Printf.sprintf "seq=%d" seq);
-                Runtime.broadcast t.rt ctx (Types.Full_execute_proof { seq; digest; pi });
-                maybe_send_acks t ctx sl
-            | None -> ()
-          end
-        in
-        let stagger = rank * config.Config.collector_stagger in
-        if stagger = 0 then act ctx
-        else ignore (Runtime.set_replica_timer t.rt ~after:stagger act)
-      end
+    if intake t bucket ~src share && bucket.count >= Config.pi_threshold config then begin
+      let e_list =
+        Collectors.e_collectors ~memo:t.rt.env.collectors ~config ~view:0 ~seq @ [ primary_of t t.rt.view ]
+      in
+      let rank = Option.value (Collectors.rank e_list t.rt.id) ~default:0 in
+      let act ctx =
+        if (not sl.exec_proof_sent) && not (Hashtbl.mem t.checkpoint_pis seq) then begin
+          Sanitizer.check_quorum t.rt.san Sanitizer.Pi ~count:bucket.count;
+          match
+            combine t ctx bucket ~scheme:(keys t).Keys.pi ~k:(Config.pi_threshold config)
+              ~group:false ~msg:(Types.pi_message ~seq ~digest)
+          with
+          | Some pi ->
+              sl.exec_proof_sent <- true;
+              Hashtbl.replace t.checkpoint_pis seq (pi, digest);
+              wal_log t ctx
+                (Sbft_store.Wal.Stable_checkpoint
+                   { seq; digest; pi = Threshold.signature_bytes pi });
+              wal_sync t ctx;
+              Runtime.trace t.rt ctx "send:full-execute-proof" "seq=%d" seq;
+              Runtime.broadcast t.rt ctx (Types.Full_execute_proof { seq; digest; pi });
+              maybe_send_acks t ctx sl
+          | None -> ()
+        end
+      in
+      let stagger = rank * config.Config.collector_stagger in
+      if stagger = 0 then act ctx
+      else ignore (Runtime.set_replica_timer t.rt ~after:stagger act)
     end
   end
 
@@ -1098,15 +1127,12 @@ and on_get_state t ctx ~upto ~replica =
         if not !stop then
           match Sbft_store.Block_store.find t.blocks s with
           | Some e ->
-              let reqs = entry_reqs e in
-              let cert =
-                match e.Sbft_store.Block_store.cert with
-                | Sbft_store.Block_store.Fast sigma ->
-                    Types.Cert_fast (Field.of_bytes sigma)
-                | Sbft_store.Block_store.Slow { tau; tau_tau } ->
-                    Types.Cert_slow (Field.of_bytes tau, Field.of_bytes tau_tau)
-              in
-              blocks := (s, e.Sbft_store.Block_store.view, reqs, cert) :: !blocks
+              blocks :=
+                ( s,
+                  e.Sbft_store.Block_store.view,
+                  entry_reqs e,
+                  cert_of_store e.Sbft_store.Block_store.cert )
+                :: !blocks
           | None -> stop := true
       done;
       List.rev !blocks
@@ -1163,38 +1189,8 @@ and adopt_block_suffix t ctx blocks =
     (fun (s, view, reqs, cert) ->
       if !ok && Int.equal s (last_executed t + 1) then begin
         let sl = Runtime.slot t.rt s in
-        if sl.committed = None then begin
-          let h = Types.block_hash ~seq:s ~view ~reqs in
-          match cert with
-          | Types.Cert_fast sigma ->
-              Engine.charge ctx
-                (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-              if Threshold.verify (keys t).Keys.sigma ~msg:h sigma then begin
-                sl.fast_cert <- Some (sigma, view, reqs);
-                commit t ctx sl ~reqs ~view ~fast:true
-                  ~cert:
-                    (Sbft_store.Block_store.Fast (Threshold.signature_bytes sigma))
-              end
-              else ok := false
-          | Types.Cert_slow (tau, tau_tau) ->
-              Engine.charge ctx
-                (Cost_model.Tally.note "proof_verify" (2 * Cost_model.bls_verify));
-              if
-                Threshold.verify (keys t).Keys.tau ~msg:h tau
-                && Threshold.verify (keys t).Keys.tau
-                     ~msg:(Types.tau2_message tau) tau_tau
-              then begin
-                sl.slow_cert <- Some (tau, tau_tau, view, reqs);
-                commit t ctx sl ~reqs ~view ~fast:false
-                  ~cert:
-                    (Sbft_store.Block_store.Slow
-                       {
-                         tau = Threshold.signature_bytes tau;
-                         tau_tau = Threshold.signature_bytes tau_tau;
-                       })
-              end
-              else ok := false
-        end
+        if sl.committed = None then
+          ok := commit_verified t ctx sl ~view ~reqs ~h:(Types.block_hash ~seq:s ~view ~reqs) cert
         else try_execute t ctx
       end)
     blocks;
@@ -1236,7 +1232,7 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
       match Sbft_store.Auth_store.load_snapshot_checked t.rt.store snapshot ~expect:digest with
       | Error _ -> state_transfer_failed t ctx
       | Ok () ->
-          Runtime.trace t.rt ctx "state-transfer" (Printf.sprintf "to=%d" snap_seq);
+          Runtime.trace t.rt ctx "state-transfer" "to=%d" snap_seq;
           Sanitizer.record_state_transfer t.rt.san ~seq:snap_seq;
           if snap_seq > t.stable then t.stable <- snap_seq;
           if snap_seq > t.rt.ls then t.rt.ls <- snap_seq;
@@ -1344,7 +1340,7 @@ and start_view_change t ctx ~target_view =
     t.rt.sent_vc_for <- target_view;
     t.rt.in_view_change <- true;
     t.failures_observed <- true;
-    Runtime.trace t.rt ctx "view-change" (Printf.sprintf "to=%d" target_view);
+    Runtime.trace t.rt ctx "view-change" "to=%d" target_view;
     let vc = { (build_view_change t) with Types.vc_view = target_view - 1 } in
     Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
     (* The vote is a promise not to help the old view: persist it
@@ -1417,7 +1413,7 @@ and on_view_change t ctx (vc : Types.view_change) =
         if List.length valid >= Config.quorum_vc config then begin
           let quorum = List.filteri (fun i _ -> i < Config.quorum_vc config) valid in
           Sanitizer.check_quorum t.rt.san Sanitizer.Vc ~count:(List.length quorum);
-          Runtime.trace t.rt ctx "send:new-view" (Printf.sprintf "view=%d" target);
+          Runtime.trace t.rt ctx "send:new-view" "view=%d" target;
           Runtime.broadcast t.rt ctx (Types.New_view { view = target; proofs = quorum });
           (* Apply our own new-view synchronously.  Entering [target]
              here (rather than waiting for the self-addressed copy to
@@ -1453,28 +1449,15 @@ and on_new_view t ctx ~view ~proofs =
           if seq > t.rt.ls then begin
             let sl = Runtime.slot t.rt seq in
             match decision with
-            | View_change.Decide_fast { sigma; reqs; view = pview } ->
-                let h = Types.block_hash ~seq ~view:pview ~reqs in
-                sl.pp <- Some (pview, reqs, h);
-                sl.fast_cert <- Some (sigma, pview, reqs);
-                commit t ctx sl ~reqs ~view:pview ~fast:true
-                  ~cert:(Sbft_store.Block_store.Fast (Threshold.signature_bytes sigma))
-            | View_change.Decide_slow { tau; tau_tau; reqs; view = pview } ->
-                let h = Types.block_hash ~seq ~view:pview ~reqs in
-                sl.pp <- Some (pview, reqs, h);
-                sl.slow_cert <- Some (tau, tau_tau, pview, reqs);
-                commit t ctx sl ~reqs ~view:pview ~fast:false
-                  ~cert:
-                    (Sbft_store.Block_store.Slow
-                       {
-                         tau = Threshold.signature_bytes tau;
-                         tau_tau = Threshold.signature_bytes tau_tau;
-                       })
+            | View_change.Decide { cert; reqs; view = pview } ->
+                (* Certificate already verified by View_change.compute. *)
+                sl.pp <- Some (pview, reqs, Types.block_hash ~seq ~view:pview ~reqs);
+                commit t ctx sl ~view:pview ~reqs cert
             | (View_change.Adopt _ | View_change.Fill_null)
               when sl.committed = None ->
                 (* Adopt as a pre-prepare of the new view. *)
-                adopt_pre_prepare t ctx ~seq ~view
-                  ~reqs:(View_change.decision_reqs decision)
+                sign_block t ctx sl ~view ~reqs:(View_change.decision_reqs decision)
+                  ~signing:From_new_view
             | View_change.Adopt _ | View_change.Fill_null -> ()
           end)
         decisions;
@@ -1488,25 +1471,6 @@ and on_new_view t ctx ~view ~proofs =
       end
     end
   end
-
-and adopt_pre_prepare t ctx ~seq ~view ~reqs =
-  let sl = Runtime.slot t.rt seq in
-  let h = Types.block_hash ~seq ~view ~reqs in
-  sl.pp <- Some (view, reqs, h);
-  sl.sent_sign_share <- true;
-  Engine.charge ctx (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
-  let sigma_share = Threshold.share_sign t.my.Keys.sigma_sk ~msg:h in
-  let tau_share = Threshold.share_sign t.my.Keys.tau_sk ~msg:h in
-  sl.highest_preprepare <- Some (view, sigma_share, reqs);
-  wal_log t ctx
-    (Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops = wal_ops reqs });
-  wal_sync t ctx;
-  let config = cfg t in
-  List.iter
-    (fun c ->
-      Runtime.send t.rt ctx ~dst:c
-        (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.rt.id }))
-    (Collectors.slow_path_collectors ~memo:t.rt.env.collectors ~config ~view ~seq)
 
 and enter_view t ctx ~view =
   if view > t.rt.view then begin
@@ -1529,7 +1493,7 @@ and enter_view t ctx ~view =
           sl.prepare_tau <- None
         end)
       t.rt.slots;
-    Runtime.trace t.rt ctx "new-view" (Printf.sprintf "view=%d primary=%d" view (primary_of t view));
+    Runtime.trace t.rt ctx "new-view" "view=%d primary=%d" view (primary_of t view);
     Runtime.redrive t.rt ctx;
     if is_primary t then try_propose t ctx
   end
@@ -1602,27 +1566,11 @@ let recover t ctx =
     Sanitizer.record_view_entry t.rt.san ~view:!restored_view;
     t.rt.view <- !restored_view
   end;
-  (* 3. Ledger replay: quiet re-commit + re-execution of the contiguous
-     run above the checkpoint (no network sends, no new WAL records). *)
-  let replaying = ref true in
-  while !replaying do
-    let next = last_executed t + 1 in
-    match Sbft_store.Block_store.find t.blocks next with
-    | Some e ->
-        let reqs = entry_reqs e in
-        let view = e.Sbft_store.Block_store.view in
-        let h = Types.block_hash ~seq:next ~view ~reqs in
-        Sanitizer.record_commit t.rt.san ~seq:next ~view ~digest:h;
-        let sl = Runtime.slot t.rt next in
-        sl.pp <- Some (view, reqs, h);
-        sl.committed <- Some reqs;
-        sl.executed <- true;
-        ignore (Runtime.execute t.rt ctx ~seq:next reqs)
-    | None -> replaying := false
-  done;
-  (* Blocks beyond a gap (committed while we were down, fetched before
-     the crash): mark committed so execution resumes once state
-     transfer fills the gap. *)
+  (* 3. Ledger replay: quiet re-commit (no network sends, no new WAL
+     records) of every persisted block above the checkpoint, and
+     re-execution of the contiguous run.  Blocks beyond a gap (committed
+     while we were down, fetched before the crash) stay committed, so
+     execution resumes once state transfer fills the gap. *)
   List.iter
     (fun s ->
       if s > last_executed t then
@@ -1631,11 +1579,13 @@ let recover t ctx =
             let reqs = entry_reqs e in
             let view = e.Sbft_store.Block_store.view in
             let h = Types.block_hash ~seq:s ~view ~reqs in
+            Sanitizer.record_commit t.rt.san ~seq:s ~view ~digest:h;
             let sl = Runtime.slot t.rt s in
-            if sl.committed = None then begin
-              Sanitizer.record_commit t.rt.san ~seq:s ~view ~digest:h;
-              sl.pp <- Some (view, reqs, h);
-              sl.committed <- Some reqs
+            sl.pp <- Some (view, reqs, h);
+            sl.committed <- Some reqs;
+            if Int.equal s (last_executed t + 1) then begin
+              sl.executed <- true;
+              ignore (Runtime.execute t.rt ctx ~seq:s reqs)
             end
         | None -> ())
     (Sbft_store.Block_store.sorted_seqs t.blocks);
@@ -1652,30 +1602,17 @@ let recover t ctx =
           if seq > !promised_seq then promised_seq := seq;
           if Int.equal view t.rt.view && seq > last_executed t then begin
             let sl = Runtime.slot t.rt seq in
-            if sl.pp = None && sl.committed = None then begin
-              let reqs =
-                List.map
-                  (fun (client, timestamp, op) ->
-                    { Types.client; timestamp; op; signature = "" })
-                  ops
-              in
-              let h = Types.block_hash ~seq ~view ~reqs in
-              sl.pp <- Some (view, reqs, h);
+            if sl.pp = None && sl.committed = None then
               (* Honour the logged promise by re-issuing the identical
                  (deterministic) sign share — safe, and keeps the slot
                  live rather than silently abstaining. *)
-              sl.sent_sign_share <- true;
-              Engine.charge ctx
-                (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
-              let sigma_share = Threshold.share_sign t.my.Keys.sigma_sk ~msg:h in
-              let tau_share = Threshold.share_sign t.my.Keys.tau_sk ~msg:h in
-              sl.highest_preprepare <- Some (view, sigma_share, reqs);
-              List.iter
-                (fun c ->
-                  Runtime.send t.rt ctx ~dst:c
-                    (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.rt.id }))
-                (Collectors.slow_path_collectors ~memo:t.rt.env.collectors ~config ~view ~seq)
-            end
+              sign_block t ctx sl ~view
+                ~reqs:
+                  (List.map
+                     (fun (client, timestamp, op) ->
+                       { Types.client; timestamp; op; signature = "" })
+                     ops)
+                ~signing:From_wal
           end
       | Sbft_store.Wal.Accepted_prepare { seq; view; tau } ->
           if Int.equal view t.rt.view && seq > last_executed t then begin
@@ -1725,5 +1662,5 @@ let recover t ctx =
     let probe = { (build_view_change t) with Types.vc_view = t.rt.view - 1 } in
     Runtime.broadcast t.rt ctx (Types.View_change probe)
   end;
-  Runtime.trace t.rt ctx "recovered"
-    (Printf.sprintf "view=%d le=%d stable=%d" t.rt.view (last_executed t) t.stable)
+  Runtime.trace t.rt ctx "recovered" "view=%d le=%d stable=%d" t.rt.view (last_executed t)
+    t.stable

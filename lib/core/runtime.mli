@@ -116,7 +116,13 @@ val retire : ('msg, 'slot) t -> unit
 
 val send : ('msg, 'slot) t -> Sbft_sim.Engine.ctx -> dst:int -> 'msg -> unit
 val broadcast : ('msg, 'slot) t -> Sbft_sim.Engine.ctx -> 'msg -> unit
-val trace : ('msg, 'slot) t -> Sbft_sim.Engine.ctx -> string -> string -> unit
+
+val trace :
+  ('msg, 'slot) t -> Sbft_sim.Engine.ctx -> string -> ('a, unit, string, unit) format4 -> 'a
+(** [trace t ctx kind fmt args...] records a trace event whose detail is
+    [Printf.sprintf fmt args...]; the detail is only formatted when
+    tracing is enabled. *)
+
 val note_progress : ('msg, 'slot) t -> Sbft_sim.Engine.ctx -> unit
 
 val mark_outstanding : ('msg, 'slot) t -> Types.request -> unit

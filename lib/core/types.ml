@@ -48,9 +48,10 @@ type fast_cert =
 
 type vc_slot = { slot_seq : int; slow : slow_cert; fast : fast_cert }
 
-(* Commit certificate accompanying a state-transferred block: the
-   receiver re-verifies it before adopting, so uncertified blocks from a
-   Byzantine peer can never be executed. *)
+(* Commit certificate: the one in-memory form of σ(h) or τ(h), τ(τ(h)),
+   also shipped with state-transferred blocks (the receiver re-verifies
+   it before adopting, so uncertified blocks from a Byzantine peer can
+   never be executed). *)
 type block_cert =
   | Cert_fast of Field.t  (** σ(h) *)
   | Cert_slow of Field.t * Field.t  (** τ(h), τ(τ(h)) *)

@@ -46,10 +46,12 @@ type block_cert =
   | Cert_fast of Sbft_crypto.Field.t  (** σ(h) *)
   | Cert_slow of Sbft_crypto.Field.t * Sbft_crypto.Field.t
       (** τ(h), τ(τ(h)) *)
-(** Commit certificate shipped alongside a state-transferred block.  The
-    receiver re-verifies it against the block hash before adopting, so a
-    Byzantine peer cannot make an honest replica execute uncertified
-    operations via state transfer. *)
+(** A commit certificate: the one form a replica holds, checks
+    ({!View_change.verify_cert}) and commits, whether it arrived as a
+    full commit proof, in a new-view decision or with a state-transferred
+    block.  A state-transfer receiver re-verifies it against the block
+    hash before adopting, so a Byzantine peer cannot make an honest
+    replica execute uncertified operations. *)
 
 type view_change = {
   vc_replica : int;
@@ -71,6 +73,9 @@ type msg =
       sigma_share : Sbft_crypto.Threshold.share;
       tau_share : Sbft_crypto.Threshold.share;
       replica : int;
+          (** the sender's own id, informational: collectors bind each
+              share to the authenticated sender, whose signer index it
+              must carry *)
     }
   | Full_commit_proof of { seq : int; view : int; sigma : Sbft_crypto.Field.t }
   | Prepare of { seq : int; view : int; tau : Sbft_crypto.Field.t }

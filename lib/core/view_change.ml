@@ -1,13 +1,7 @@
 open Sbft_crypto
 
 type decision =
-  | Decide_fast of { sigma : Field.t; reqs : Types.request list; view : int }
-  | Decide_slow of {
-      tau : Field.t;
-      tau_tau : Field.t;
-      reqs : Types.request list;
-      view : int;
-    }
+  | Decide of { cert : Types.block_cert; reqs : Types.request list; view : int }
   | Adopt of Types.request list
   | Fill_null
 
@@ -17,6 +11,13 @@ let null_request : Types.request =
 (* ------------------------------------------------------------------ *)
 (* Certificate validation *)
 
+let verify_cert keys ~h (cert : Types.block_cert) =
+  match cert with
+  | Cert_fast sigma -> Threshold.verify keys.Keys.sigma ~msg:h sigma
+  | Cert_slow (tau, tau_tau) ->
+      Threshold.verify keys.Keys.tau ~msg:h tau
+      && Threshold.verify keys.Keys.tau ~msg:(Types.tau2_message tau) tau_tau
+
 let valid_slow_cert keys ~seq (cert : Types.slow_cert) =
   match cert with
   | No_commit -> true
@@ -24,9 +25,7 @@ let valid_slow_cert keys ~seq (cert : Types.slow_cert) =
       let h = Types.block_hash ~seq ~view ~reqs in
       Threshold.verify keys.Keys.tau ~msg:h tau
   | Slow_committed { tau; tau_tau; view; reqs } ->
-      let h = Types.block_hash ~seq ~view ~reqs in
-      Threshold.verify keys.Keys.tau ~msg:h tau
-      && Threshold.verify keys.Keys.tau ~msg:(Types.tau2_message tau) tau_tau
+      verify_cert keys ~h:(Types.block_hash ~seq ~view ~reqs) (Cert_slow (tau, tau_tau))
 
 let valid_fast_cert keys ~seq ~sender (cert : Types.fast_cert) =
   match cert with
@@ -39,8 +38,7 @@ let valid_fast_cert keys ~seq ~sender (cert : Types.fast_cert) =
          the pairing check. *)
       && Threshold.share_verify_cached keys.Keys.sigma ~msg:h share
   | Fast_committed { sigma; view; reqs } ->
-      let h = Types.block_hash ~seq ~view ~reqs in
-      Threshold.verify keys.Keys.sigma ~msg:h sigma
+      verify_cert keys ~h:(Types.block_hash ~seq ~view ~reqs) (Cert_fast sigma)
 
 let valid_checkpoint keys ~ls = function
   | None -> ls = 0
@@ -84,11 +82,10 @@ let compute_slot keys ~seq entries =
         match (slow, fast) with
         | Slow_committed { tau; tau_tau; view; reqs }, _
           when valid_slow_cert keys ~seq slow ->
-            Some (Decide_slow { tau; tau_tau; reqs; view })
+            Some (Decide { cert = Cert_slow (tau, tau_tau); reqs; view })
         | _, Fast_committed { sigma; view; reqs }
           when valid_fast_cert keys ~seq ~sender:(-1) fast ->
-            ignore view;
-            Some (Decide_fast { sigma; reqs; view })
+            Some (Decide { cert = Cert_fast sigma; reqs; view })
         | _ -> None)
       entries
   in
@@ -202,5 +199,5 @@ let compute ~keys ~new_view msgs =
   (ls, decisions)
 
 let decision_reqs = function
-  | Decide_fast { reqs; _ } | Decide_slow { reqs; _ } | Adopt reqs -> reqs
+  | Decide { reqs; _ } | Adopt reqs -> reqs
   | Fill_null -> [ null_request ]

@@ -21,20 +21,21 @@
     it the unique fast value at the maximal view. *)
 
 type decision =
-  | Decide_fast of { sigma : Sbft_crypto.Field.t; reqs : Types.request list; view : int }
-      (** σ(h) was presented: commit immediately. *)
-  | Decide_slow of {
-      tau : Sbft_crypto.Field.t;
-      tau_tau : Sbft_crypto.Field.t;
-      reqs : Types.request list;
-      view : int;
-    }  (** τ(τ(h)) was presented: commit immediately. *)
+  | Decide of { cert : Types.block_cert; reqs : Types.request list; view : int }
+      (** A full commit proof, σ(h) or τ(τ(h)), was presented: commit
+          immediately. *)
   | Adopt of Types.request list
       (** Potentially committed: the new view must re-propose it. *)
   | Fill_null  (** No constraint: fill with a no-op. *)
 
 val null_request : Types.request
 (** The no-op operation used to fill unconstrained slots. *)
+
+val verify_cert : Keys.t -> h:string -> Types.block_cert -> bool
+(** Whether a commit certificate verifies for block hash [h]: σ(h), or
+    τ(h) together with τ(τ(h)).  The one check every committed
+    certificate goes through: full commit proofs, state-transferred
+    blocks and the view change's committed reports. *)
 
 val validate_message : keys:Keys.t -> Types.view_change -> bool
 (** Structural and cryptographic validity of one view-change message:

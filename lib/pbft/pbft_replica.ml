@@ -75,8 +75,7 @@ let committed_block t seq =
 
 let propose t ctx ~seq reqs =
   Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-  Runtime.trace t.rt ctx "send:pre-prepare"
-    (Printf.sprintf "seq=%d batch=%d" seq (List.length reqs));
+  Runtime.trace t.rt ctx "send:pre-prepare" "seq=%d batch=%d" seq (List.length reqs);
   Runtime.broadcast t.rt ctx (Pbft_types.Pre_prepare { seq; view = t.rt.view; reqs })
 
 let try_propose t ctx = Runtime.try_propose t.rt ctx ~propose:(propose t)
@@ -183,7 +182,7 @@ and check_committed t ctx sl =
       t.rt.n_committed <- t.rt.n_committed + 1;
       Runtime.note_progress t.rt ctx;
       Engine.charge ctx (Cost_model.Tally.note "persist" (Cost_model.persist_block (Types.requests_bytes reqs)));
-      Runtime.trace t.rt ctx "commit" (Printf.sprintf "seq=%d" sl.seq);
+      Runtime.trace t.rt ctx "commit" "seq=%d" sl.seq;
       try_execute t ctx;
       if is_primary t then try_propose t ctx
   | _ -> ()
@@ -243,7 +242,7 @@ and on_checkpoint t ctx ~seq ~digest ~replica =
 and start_view_change t ctx ~target_view =
   if target_view > t.rt.sent_vc_for then begin
     t.rt.sent_vc_for <- target_view;
-    Runtime.trace t.rt ctx "view-change" (Printf.sprintf "to=%d" target_view);
+    Runtime.trace t.rt ctx "view-change" "to=%d" target_view;
     (* Certificate list in ascending seq order: the VC message payload
        is replay-visible, so its layout must not depend on Hashtbl
        iteration order. *)
@@ -299,7 +298,7 @@ and on_view_change t ctx ~view ~ls ~prepared ~replica =
           Hashtbl.fold (fun seq (_, reqs) acc -> (seq, reqs) :: acc) best []
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         in
-        Runtime.trace t.rt ctx "send:new-view" (Printf.sprintf "view=%d" target);
+        Runtime.trace t.rt ctx "send:new-view" "view=%d" target;
         Runtime.broadcast t.rt ctx (Pbft_types.New_view { view = target; pre_prepares })
       end
     end

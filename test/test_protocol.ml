@@ -284,6 +284,143 @@ let test_forged_state_resp_rejected () =
   check "agreement" true (Cluster.agreement_ok cluster)
 
 (* ------------------------------------------------------------------ *)
+(* Forged shares and certificates, injected as if from a peer *)
+
+(* Deliver [msg] to replica [dst] as if sent by node [src]. *)
+let inject ?at cluster ~dst ~src msg =
+  let engine = cluster.Cluster.engine in
+  let at = Option.value at ~default:(Engine.now engine) in
+  Engine.dispatch engine ~dst ~at (fun ctx ->
+      Replica.on_message cluster.Cluster.replicas.(dst) ctx ~src msg)
+
+(* A threshold signature on [msg] combined from every replica's share. *)
+let threshold_sig cluster ~scheme ~sk msg =
+  let shares =
+    Array.to_list
+      (Array.map
+         (fun rk -> Sbft_crypto.Threshold.share_sign (sk rk) ~msg)
+         cluster.Cluster.replica_keys)
+  in
+  match Sbft_crypto.Threshold.combine (scheme cluster.Cluster.keys) ~msg shares with
+  | Some s -> s
+  | None -> Alcotest.fail "test signature did not combine"
+
+let sigma_sig cluster msg =
+  threshold_sig cluster ~scheme:(fun k -> k.Keys.sigma) ~sk:(fun rk -> rk.Keys.sigma_sk) msg
+
+let tau_sig cluster msg =
+  threshold_sig cluster ~scheme:(fun k -> k.Keys.tau) ~sk:(fun rk -> rk.Keys.tau_sk) msg
+
+let junk_sig = Sbft_crypto.Field.of_int 0xdead
+
+let test_resent_sign_shares () =
+  (* Replica 3 re-sends an invalid Sign_share for the first slots three
+     times, 5 ms apart.  Each σ combine evicts it and the next copy
+     re-enters the σ stash; the τ stash must not count the copies again
+     (it did when only the σ stash deduplicated, and a τ quorum larger
+     than n tripped the sanitizer). *)
+  let cluster = make () in
+  let junk = Sbft_crypto.Threshold.forge_invalid_share ~signer:4 in
+  for seq = 1 to 4 do
+    for copy = 0 to 2 do
+      for dst = 0 to 2 do
+        inject cluster ~dst ~src:3
+          ~at:(Engine.ms (1 + (5 * copy)))
+          (Types.Sign_share { seq; view = 0; sigma_share = junk; tau_share = junk; replica = 3 })
+      done
+    done
+  done;
+  assert_all_done (drive cluster)
+
+let test_spoofed_sign_shares () =
+  (* Replica 3 sends Sign_shares claiming to be replicas 0, 1 and 2.
+     Shares bind to the authenticated sender, so the spoofs are dropped:
+     they neither crowd out the honest shares nor inflate a quorum. *)
+  let cluster = make () in
+  for seq = 1 to 4 do
+    for claimed = 0 to 2 do
+      let junk = Sbft_crypto.Threshold.forge_invalid_share ~signer:(claimed + 1) in
+      for dst = 0 to 2 do
+        inject cluster ~dst ~src:3 ~at:(Engine.ms 1)
+          (Types.Sign_share
+             { seq; view = 0; sigma_share = junk; tau_share = junk; replica = claimed })
+      done
+    done
+  done;
+  let cluster = drive cluster in
+  assert_all_done cluster;
+  List.iter
+    (fun r -> check_int "no view change" 0 (Replica.view_changes_completed r))
+    (alive cluster)
+
+(* A cluster that served its load, and the next free slot on replica 1:
+   (cluster, view, seq). *)
+let quiesced () =
+  let cluster = drive (make ()) in
+  assert_all_done cluster;
+  let victim = cluster.Cluster.replicas.(1) in
+  (cluster, Replica.view victim, Replica.last_executed victim + 1)
+
+let test_forged_commit_proofs_rejected () =
+  (* Replica 1 holds the block for a fresh slot; neither a full commit
+     proof with a bad σ nor a slow proof with a valid τ and a bad ττ may
+     commit it. *)
+  let cluster, view, seq = quiesced () in
+  let reqs = [ View_change.null_request ] in
+  let h = Types.block_hash ~seq ~view ~reqs in
+  inject cluster ~dst:1 ~src:0 (Types.Pre_prepare { seq; view; reqs });
+  inject cluster ~dst:1 ~src:2 (Types.Full_commit_proof { seq; view; sigma = junk_sig });
+  inject cluster ~dst:1 ~src:2
+    (Types.Full_commit_proof_slow { seq; view; tau = tau_sig cluster h; tau_tau = junk_sig });
+  Cluster.run_for cluster (Engine.sec 1);
+  check "forged proofs commit nothing" true
+    (Replica.committed_block cluster.Cluster.replicas.(1) seq = None);
+  check "agreement" true (Cluster.agreement_ok cluster)
+
+let test_forged_state_transfer_cert_rejected () =
+  (* With a state transfer outstanding, a blocks-only State_resp whose
+     block carries a valid τ but a bad ττ must be rejected. *)
+  let cluster, view, seq = quiesced () in
+  let victim = cluster.Cluster.replicas.(1) in
+  let digest_before = Replica.state_digest victim in
+  let reqs = [ { Types.client = 999; timestamp = 42; op = put ~client:999 1; signature = "" } ] in
+  let h = Types.block_hash ~seq ~view ~reqs in
+  (* A pre-prepare beyond the window starts a state transfer. *)
+  inject cluster ~dst:1 ~src:0
+    (Types.Pre_prepare { seq = seq + cluster.Cluster.config.Config.win; view; reqs = [] });
+  inject cluster ~dst:1 ~src:3
+    (Types.State_resp
+       {
+         snapshot = "";
+         snap_seq = 0;
+         pi = Sbft_crypto.Field.zero;
+         digest = "";
+         blocks = [ (seq, view, reqs, Types.Cert_slow (tau_sig cluster h, junk_sig)) ];
+         table = [];
+       });
+  Cluster.run_for cluster (Engine.sec 1);
+  check "forged block not committed" true (Replica.committed_block victim seq = None);
+  check_int "nothing executed" (seq - 1) (Replica.last_executed victim);
+  check "state digest unchanged" true
+    (String.equal digest_before (Replica.state_digest victim));
+  check "no forged client-table row" true
+    (Replica.client_last_timestamp victim ~client:999 = None)
+
+let test_proof_before_block () =
+  (* A valid full commit proof that arrives before its block is kept,
+     and commits the block once it arrives. *)
+  let cluster, view, seq = quiesced () in
+  let victim = cluster.Cluster.replicas.(1) in
+  let reqs = [ View_change.null_request ] in
+  let sigma = sigma_sig cluster (Types.block_hash ~seq ~view ~reqs) in
+  inject cluster ~dst:1 ~src:2 (Types.Full_commit_proof { seq; view; sigma });
+  Cluster.run_for cluster (Engine.ms 500);
+  check "no commit without the block" true (Replica.committed_block victim seq = None);
+  inject cluster ~dst:1 ~src:0 (Types.Block_resp { seq; view; reqs });
+  Cluster.run_for cluster (Engine.ms 500);
+  check "pending proof commits the block" true (Replica.committed_block victim seq = Some reqs)
+
+(* ------------------------------------------------------------------ *)
 (* Crash-amnesia: volatile state wiped, durable WAL + ledger survive *)
 
 let test_amnesia_backup_recovery () =
@@ -487,6 +624,16 @@ let () =
           Alcotest.test_case "wrong exec digest" `Quick test_wrong_exec_digest;
           Alcotest.test_case "silent replica" `Quick test_silent_replica;
           Alcotest.test_case "stale view-change info" `Quick test_stale_view_change_messages;
+          Alcotest.test_case "re-sent sign shares" `Quick test_resent_sign_shares;
+          Alcotest.test_case "spoofed sign shares" `Quick test_spoofed_sign_shares;
+        ] );
+      ( "certificates",
+        [
+          Alcotest.test_case "forged commit proofs rejected" `Quick
+            test_forged_commit_proofs_rejected;
+          Alcotest.test_case "forged state-transfer certificate rejected" `Quick
+            test_forged_state_transfer_cert_rejected;
+          Alcotest.test_case "proof before block" `Quick test_proof_before_block;
         ] );
       ( "network-faults",
         [

@@ -14,9 +14,12 @@
                                     against bench/baseline.json (CI gate);
                                     --update-baseline rewrites the baseline
      bench/main.exe regress --paper [--only NAME] [--budget-wall-s N]
+                                    [--budget-heap-mb M]
                                     paper-scale smoke (n=193-209, ~102k ops
                                     per row); writes bench_out/paper_profile.json
-                                    and fails rows over the wall budget
+                                    and fails rows over the wall budget or
+                                    whose peak heap (cumulative over the
+                                    rows, one process) exceeds M MB
      bench/main.exe regress --sweep S [--only NAME]
                                     seeded sweep of the paper family, S seeds;
                                     mean +/- 95% CI -> bench_out/seed_sweep.json
@@ -67,6 +70,23 @@ let micro () =
       ~amount:(Sbft_evm.U256.of_int 5)
   in
   let token = Sbft_workload.Eth_workload.token_address 0 in
+  (* One kv-fast block as each of 193 replicas logs it: its own record
+     values around the same op strings (a ~13 KB pre-prepare of 64
+     ops), a commit certificate and 64 client rows. *)
+  let wal_replicas = 193 in
+  let block_ops =
+    List.init 64 (fun i -> (i, 1, String.make 200 (Char.chr (Char.code 'a' + (i mod 26)))))
+  in
+  let block_records =
+    Array.init wal_replicas (fun _ ->
+        let open Sbft_store.Wal in
+        Accepted_pre_prepare { seq = 1; view = 0; ops = List.map (fun (c, t, op) -> (c, t, op)) block_ops }
+        :: Commit_cert { seq = 1; view = 0; fast = true }
+        :: List.map
+             (fun (client, timestamp, _) ->
+               Client_row { client; timestamp; value = "ok"; seq = 1; index = client })
+             block_ops)
+  in
   let tests =
     [
       Test.make ~name:"sha256-64B" (Staged.stage (fun () -> Sha256.digest msg64));
@@ -95,6 +115,17 @@ let micro () =
                   mm block_keys)));
       Test.make ~name:"merkle-map-prove"
         (Staged.stage (fun () -> Merkle_map.prove mm "500"));
+      (* The frame table is the deployment's: each run starts a fresh
+         one, so the first log encodes the block and 192 share it. *)
+      Test.make ~name:"wal-block-193"
+        (Staged.stage (fun () ->
+             let frames = Sbft_store.Wal.new_frames () in
+             Array.iter
+               (fun records ->
+                 let w = Sbft_store.Wal.create ~frames () in
+                 List.iter (fun r -> ignore (Sbft_store.Wal.append w r)) records;
+                 ignore (Sbft_store.Wal.sync w))
+               block_records));
       Test.make ~name:"u256-mul" (Staged.stage (fun () -> Sbft_evm.U256.mul a b));
       Test.make ~name:"u256-div" (Staged.stage (fun () -> Sbft_evm.U256.div a b));
       Test.make ~name:"evm-token-transfer"
@@ -136,8 +167,9 @@ let regress_baseline_path = "bench/baseline.json"
 (* Paper-scale smoke (CI): run the n=193/209 family with its finite
    ~102k-operation budget, write the profile artifact, and (optionally)
    fail on an absolute wall-clock budget — the only place wall time
-   gates anything. *)
-let regress_paper ~only ~budget_wall_s ~sweep_seeds =
+   gates anything — and on a peak-heap budget.  The rows share one
+   process, so the peak heap a row reports is the peak so far. *)
+let regress_paper ~only ~budget_wall_s ~budget_heap_mb ~sweep_seeds =
   match sweep_seeds with
   | Some seeds ->
       let rows = Regress.sweep ?only ~seeds () in
@@ -163,7 +195,7 @@ let regress_paper ~only ~budget_wall_s ~sweep_seeds =
       Printf.printf "profile artifact written to %s\n%!" path;
       let failures = ref 0 in
       List.iter
-        (fun { Regress.entry; point } ->
+        (fun { Regress.entry; point; peak_heap_mb } ->
           let expected =
             Regress.paper_clients * Regress.paper_requests_per_client
           in
@@ -176,7 +208,7 @@ let regress_paper ~only ~budget_wall_s ~sweep_seeds =
             Printf.eprintf "paper: %s completed %d/%d requests\n%!"
               entry.Regress.name point.Scenario.completed_requests expected
           end;
-          match budget_wall_s with
+          (match budget_wall_s with
           | Some budget when entry.Regress.wall_ms > budget *. 1000. ->
               incr failures;
               Printf.eprintf
@@ -184,12 +216,22 @@ let regress_paper ~only ~budget_wall_s ~sweep_seeds =
                 entry.Regress.name
                 (entry.Regress.wall_ms /. 1000.)
                 budget
+          | _ -> ());
+          match budget_heap_mb with
+          | Some budget when peak_heap_mb > budget ->
+              incr failures;
+              Printf.eprintf
+                "paper: %s peak heap %.0f MB (budget %.0f MB)\n%!"
+                entry.Regress.name peak_heap_mb budget
           | _ -> ())
         rows;
       if !failures > 0 then exit 1;
-      Printf.printf "paper-scale smoke: OK%s\n%!"
+      Printf.printf "paper-scale smoke: OK%s%s\n%!"
         (match budget_wall_s with
         | Some b -> Printf.sprintf " (within %.0f s wall budget per row)" b
+        | None -> "")
+        (match budget_heap_mb with
+        | Some b -> Printf.sprintf " (peak heap within %.0f MB)" b
         | None -> "")
 
 let regress ~scale ~update_baseline =
@@ -237,7 +279,8 @@ let () =
   (match args with
   | "check" :: rest -> exit (Sbft_check.Check.main rest)
   | _ -> ());
-  (* Valued flags (--only NAME, --budget-wall-s N, --sweep S) are
+  (* Valued flags (--only NAME, --budget-wall-s N, --budget-heap-mb M,
+     --sweep S) are
      stripped with their argument before the boolean-flag filter. *)
   let opt_value key args =
     let rec go acc = function
@@ -249,6 +292,7 @@ let () =
   in
   let only, args = opt_value "--only" args in
   let budget_wall_s, args = opt_value "--budget-wall-s" args in
+  let budget_heap_mb, args = opt_value "--budget-heap-mb" args in
   let sweep_seeds, args = opt_value "--sweep" args in
   let full = List.mem "--full" args in
   let paper = List.mem "--paper" args in
@@ -291,6 +335,7 @@ let () =
               if paper || sweep_seeds <> None then
                 regress_paper ~only
                   ~budget_wall_s:(Option.map float_of_string budget_wall_s)
+                  ~budget_heap_mb:(Option.map float_of_string budget_heap_mb)
                   ~sweep_seeds:(Option.map int_of_string sweep_seeds)
               else regress ~scale ~update_baseline
           | other ->

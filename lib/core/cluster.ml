@@ -78,6 +78,7 @@ type ('msg, 'replica, 'client) deployment = {
   env : 'msg Runtime.env;
   replica_keys : Keys.replica_keys array;
   exec_cache : Sbft_store.Auth_store.cache;
+  wal_frames : Sbft_store.Wal.frames;
   durables : Replica.durable array;
   amnesia : bool array;  (* crashed with volatile state wiped *)
 }
@@ -87,8 +88,8 @@ type t = (Types.msg, Replica.t, Client.t) deployment
 (* CPU cost of pushing one message out (syscall + TLS record). *)
 let send_overhead = Engine.us 20
 
-let new_durable () =
-  { Replica.wal = Sbft_store.Wal.create (); blocks = Sbft_store.Block_store.create () }
+let new_durable ~frames =
+  { Replica.wal = Sbft_store.Wal.create ~frames (); blocks = Sbft_store.Block_store.create () }
 
 (* All honest replicas execute identical blocks: they share the
    execution work and the resulting persistent state. *)
@@ -130,7 +131,8 @@ let deploy protocol ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
     }
   in
   let exec_cache = Sbft_store.Auth_store.new_cache () in
-  let durables = Array.init n (fun _ -> new_durable ()) in
+  let wal_frames = Sbft_store.Wal.new_frames () in
+  let durables = Array.init n (fun _ -> new_durable ~frames:wal_frames) in
   let replicas =
     Array.init n (fun i ->
         new_replica protocol ~env ~service ~exec_cache ~my:replica_keys.(i)
@@ -168,6 +170,7 @@ let deploy protocol ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
     env;
     replica_keys;
     exec_cache;
+    wal_frames;
     durables;
     amnesia = Array.make n false;
   }
@@ -225,7 +228,7 @@ let recover_replica t id =
       else begin
         (* Durability disabled: model the restart as losing the disk
            too, so the fuzzer can prove the WAL is load-bearing. *)
-        let d = new_durable () in
+        let d = new_durable ~frames:t.wal_frames in
         t.durables.(id) <- d;
         d
       end

@@ -67,6 +67,9 @@ type ('msg, 'replica, 'client) deployment = {
   env : 'msg Runtime.env;
   replica_keys : Keys.replica_keys array;
   exec_cache : Sbft_store.Auth_store.cache;
+  wal_frames : Sbft_store.Wal.frames;
+      (** The WAL frame table every replica's log draws from: a record
+          all replicas log is encoded once and its bytes held once. *)
   durables : Replica.durable array;
   amnesia : bool array;
       (** Per-replica flag: crashed with volatile state wiped; the next

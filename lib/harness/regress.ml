@@ -481,7 +481,7 @@ let paper_grid () =
       ~crash_primary_at:(Engine.ms 600) ();
   ]
 
-type paper_row = { entry : entry; point : Scenario.point }
+type paper_row = { entry : entry; point : Scenario.point; peak_heap_mb : float }
 
 let filter_grid ?only grid =
   match only with
@@ -492,10 +492,11 @@ let measure_paper ?only () =
   List.map
     (fun row ->
       let entry, point = measure_row row in
-      { entry; point })
+      let top = (Gc.quick_stat ()).Gc.top_heap_words in
+      { entry; point; peak_heap_mb = float_of_int (top * (Sys.word_size / 8)) /. 1_048_576. })
     (filter_grid ?only (paper_grid ()))
 
-let json_of_paper_row { entry; point } =
+let json_of_paper_row { entry; point; peak_heap_mb } =
   match json_of_entry entry with
   | Obj fields ->
       Obj
@@ -504,6 +505,7 @@ let json_of_paper_row { entry; point } =
             ("completed_requests", Num (float_of_int point.Scenario.completed_requests));
             ("view_changes", Num (float_of_int point.Scenario.view_changes));
             ("agreement", Bool point.Scenario.agreement);
+            ("peak_heap_mb", Num peak_heap_mb);
             ("profile", Report.json_of_profile point.Scenario.profile);
           ])
   | j -> j

@@ -108,15 +108,22 @@ val paper_grid : unit -> (string * Scenario.t) list
 (** [paper-fast-n193] (f=64, c=0), [paper-c8-n209] (f=64, c=8), and
     [paper-viewchange-n193] (initial primary crashed at 600 ms). *)
 
-type paper_row = { entry : entry; point : Scenario.point }
+type paper_row = {
+  entry : entry;
+  point : Scenario.point;
+  peak_heap_mb : float;
+      (** The process's peak major heap ([top_heap_words]) after the row.
+          The rows share one process, so it is cumulative: each row's
+          figure is the peak over it and every row before it. *)
+}
 
 val measure_paper : ?only:string -> unit -> paper_row list
 (** Run the paper grid (or the one named row). *)
 
 val paper_report_json : paper_row list -> string
 (** Schema [sbft-paper-v1]: the v2 entry fields plus completion,
-    view-change, agreement, and per-phase profile data — the smoke-job
-    artifact. *)
+    view-change, agreement, peak heap ([peak_heap_mb], cumulative across
+    rows) and per-phase profile data — the smoke-job artifact. *)
 
 (** {2 Seeded sweep} *)
 

@@ -102,7 +102,7 @@ let crash_set ~n ~failures = List.init failures (fun i -> n - 1 - i)
 
 let log_point t (p : point) =
   Printf.eprintf
-    "[scenario] %-18s f=%d cl=%-3d fail=%-2d %-10s -> %8.0f ops/s %6.1f ms (host %.0fs, %.0fk ev/s, heap %dMB)\n%!"
+    "[scenario] %-18s f=%d cl=%-3d fail=%-2d %-10s -> %8.0f ops/s %6.1f ms (host %.0fs, %.0fk ev/s, peak heap %dMB)\n%!"
     (protocol_name t.protocol) t.f t.num_clients t.failures
     (match t.workload with
     | Kv { batching = true } -> "kv-batch"
@@ -110,7 +110,7 @@ let log_point t (p : point) =
     | Eth -> "eth")
     p.throughput_ops p.median_latency_ms p.host_seconds
     (p.events_per_sec /. 1000.)
-    (Gc.((quick_stat ()).heap_words) * 8 / 1_048_576)
+    (Gc.((quick_stat ()).top_heap_words) * (Sys.word_size / 8) / 1_048_576)
 
 (* A deployment of either protocol, once it has run. *)
 type deployment = Deployment : (_, _, _) Cluster.deployment -> deployment

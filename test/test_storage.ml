@@ -599,6 +599,134 @@ let test_wal_truncate_amortized () =
   check "sub-watermark log still replays truncated" true
     (Wal.replay small = [ Wal.Commit_cert { seq = 2; view = 1; fast = true } ])
 
+(* Byte-faithfulness: the frame sizes, log size and torn-tail replays
+   below were recorded from the single-buffer log this one replaced,
+   so any drift in the framing or in how a torn tail parses shows up
+   here.  The ops ["\xFF"] and pi ["p\xFF"] end their frames in 0xFF,
+   where garbage of 0xFF changes nothing and the record survives. *)
+let golden_records =
+  wal_records
+  @ [
+      Wal.Accepted_pre_prepare
+        { seq = 300; view = 70; ops = [ (-5, 1000, String.make 200 'o'); (3, 4, "\xFF") ] };
+      Wal.Client_row { client = -1; timestamp = 0; value = ""; seq = 300; index = 1 };
+    ]
+
+let synced ?frames records =
+  let w = Wal.create ?frames () in
+  let sizes = List.map (Wal.append w) records in
+  ignore (Wal.sync w);
+  (w, sizes)
+
+(* [(count, x)] run-length pairs, expanded. *)
+let expand runs = List.concat_map (fun (count, x) -> List.init count (fun _ -> x)) runs
+
+let prefix n l = List.filteri (fun i _ -> i < n) l
+
+let test_wal_golden_bytes () =
+  let w, sizes = synced golden_records in
+  check "framed sizes" true (sizes = [ 7; 7; 19; 18; 9; 23; 12; 221; 12 ]);
+  check_int "durable bytes" 328 (Wal.durable_bytes w);
+  check "replay" true (Wal.replay w = golden_records)
+
+let test_wal_torn_sweep () =
+  (* Replayed prefix length after corrupting the last k bytes, k = 0..328. *)
+  let replayed =
+    expand [ (1, 9); (13, 8); (220, 7); (12, 6); (23, 5); (9, 4); (18, 3); (19, 2); (7, 1); (7, 0) ]
+  in
+  (* (checkpoint kept, durable bytes, replayed records) after a rollback
+     of the same torn log. *)
+  let rolled = expand [ (246, (8, 83, 6)); (83, (0, 0, 0)) ] in
+  List.iteri
+    (fun k (n, (cp, bytes, after)) ->
+      let w, _ = synced golden_records in
+      Wal.corrupt_tail w ~bytes:k;
+      check_int (Printf.sprintf "k=%d size kept" k) 328 (Wal.durable_bytes w);
+      check (Printf.sprintf "k=%d replays the %d-record prefix" k n) true
+        (Wal.replay w = prefix n golden_records);
+      check_int (Printf.sprintf "k=%d rollback checkpoint" k) cp
+        (Wal.rollback_to_checkpoint w ~before:max_int);
+      check_int (Printf.sprintf "k=%d rollback size" k) bytes (Wal.durable_bytes w);
+      check (Printf.sprintf "k=%d rollback replay" k) true
+        (Wal.replay w = prefix after golden_records))
+    (List.combine replayed rolled);
+  (* Physical compaction after a torn tail keeps the intact frames only. *)
+  let big = String.make 512 'x' in
+  let grown () =
+    let records =
+      List.concat
+        (List.init 200 (fun i ->
+             Wal.Client_row { client = 1; timestamp = i; value = big; seq = 1 + i; index = 0 }
+             ::
+             (if i mod 50 = 49 then
+                [ Wal.Stable_checkpoint { seq = 1 + i; digest = "d"; pi = "p\xFF" } ]
+              else [])))
+    in
+    fst (synced records)
+  in
+  check_int "grown log" 105324 (Wal.durable_bytes (grown ()));
+  List.iter
+    (fun (k, bytes, n) ->
+      let w = grown () in
+      Wal.corrupt_tail w ~bytes:k;
+      Wal.truncate_below w ~seq:120;
+      check_int (Printf.sprintf "compacted k=%d size" k) bytes (Wal.durable_bytes w);
+      let r = Wal.replay w in
+      check_int (Printf.sprintf "compacted k=%d replay" k) n (List.length r);
+      check (Printf.sprintf "compacted k=%d checkpoint first" k) true
+        (match r with Wal.Stable_checkpoint { seq = 100; _ } :: _ -> true | _ -> false))
+    [
+      (0, 42726, 84); (1, 42726, 84); (3, 42713, 83); (5, 42713, 83);
+      (600, 41659, 81); (1200, 41132, 80); (30000, 12661, 25);
+    ]
+
+let test_wal_shared_frames_isolated () =
+  let frames = Wal.new_frames () in
+  let a, sizes_a = synced ~frames golden_records in
+  let b, sizes_b = synced ~frames golden_records in
+  check "shared frames report the same sizes" true (sizes_a = sizes_b);
+  let bytes_b = Wal.durable_bytes b in
+  Wal.corrupt_tail a ~bytes:200;
+  check "torn log loses its tail" true (Wal.replay a <> golden_records);
+  check "torn tail leaves the other log's replay" true (Wal.replay b = golden_records);
+  check_int "torn tail leaves the other log's size" bytes_b (Wal.durable_bytes b);
+  ignore (Wal.rollback_to_checkpoint a ~before:max_int);
+  check "rollback leaves the other log's replay" true (Wal.replay b = golden_records);
+  check_int "rollback leaves the other log's size" bytes_b (Wal.durable_bytes b);
+  (* A later log drawing the same frames still gets intact bytes. *)
+  let c, _ = synced ~frames golden_records in
+  check "table frames untouched by the attacks" true (Wal.replay c = golden_records)
+
+let test_wal_rollback_to_checkpoint () =
+  let log =
+    [
+      Wal.View_entered 1;
+      Wal.Commit_cert { seq = 1; view = 1; fast = true };
+      Wal.Stable_checkpoint { seq = 4; digest = "d4"; pi = "p4" };
+      Wal.Commit_cert { seq = 5; view = 1; fast = false };
+      Wal.View_entered 2;
+      Wal.Stable_checkpoint { seq = 8; digest = "d8"; pi = "p8" };
+      Wal.Commit_cert { seq = 9; view = 2; fast = true };
+    ]
+  in
+  let w, sizes = synced log in
+  ignore (Wal.append w (Wal.Commit_cert { seq = 10; view = 2; fast = true }));
+  Wal.truncate_below w ~seq:8;
+  check_int "newest checkpoint at or below before" 4 (Wal.rollback_to_checkpoint w ~before:7);
+  check "keeps the prefix ending at that checkpoint" true (Wal.replay w = prefix 3 log);
+  check_int "prefix bytes" (List.fold_left ( + ) 0 (prefix 3 sizes)) (Wal.durable_bytes w);
+  check "pending records dropped" false (Wal.dirty w);
+  check_int "pending bytes dropped" 0 (Wal.pending_bytes w);
+  let w, _ = synced log in
+  check_int "a checkpoint at before qualifies" 8 (Wal.rollback_to_checkpoint w ~before:8);
+  check "later view record kept up to it" true (Wal.replay w = prefix 6 log);
+  let w, _ = synced log in
+  ignore (Wal.append w (Wal.View_entered 3));
+  check_int "no qualifying checkpoint" 0 (Wal.rollback_to_checkpoint w ~before:3);
+  check "log rolls back to empty" true (Wal.replay w = []);
+  check_int "no bytes left" 0 (Wal.durable_bytes w);
+  check "nothing pending" false (Wal.dirty w)
+
 let wal_props =
   [
     qtest "random record sequences replay exactly"
@@ -685,6 +813,10 @@ let () =
           Alcotest.test_case "corrupt tail tolerated" `Quick test_wal_corrupt_tail;
           Alcotest.test_case "truncate below checkpoint" `Quick test_wal_truncate_below;
           Alcotest.test_case "truncation amortized" `Quick test_wal_truncate_amortized;
+          Alcotest.test_case "golden frame bytes" `Quick test_wal_golden_bytes;
+          Alcotest.test_case "torn-tail sweep" `Quick test_wal_torn_sweep;
+          Alcotest.test_case "shared frames isolated" `Quick test_wal_shared_frames_isolated;
+          Alcotest.test_case "rollback to checkpoint" `Quick test_wal_rollback_to_checkpoint;
         ]
         @ wal_props );
     ]
